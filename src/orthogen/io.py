@@ -16,37 +16,53 @@ from .core import OrthoMatrix
 from .quantize import IntMatrix
 
 DECIMALS = 7
+_FIXED_CELL = f"%.{DECIMALS}f"
+_NEGATIVE_ZERO = f"-0.{'0' * DECIMALS}"
 
 
 def format_fixed(value: float) -> str:
     text = f"{value:.{DECIMALS}f}"
-    if text == f"-0.{'0' * DECIMALS}":
+    if text == _NEGATIVE_ZERO:
         text = text[1:]
     return text
 
 
+def _table(entries: np.ndarray, cell_fmt: str, sep: str, align: bool) -> str:
+    """Render a 2-D array one line per row, each row by one %-format string.
+
+    Scrubbing negative zero over the whole text is exact: a fixed cell has
+    exactly DECIMALS decimals and a sign only in front. ``align``
+    right-justifies every cell to the widest one.
+    """
+    rows = np.asarray(entries).tolist()
+    ncols = len(rows[0]) if rows else 0
+    line = sep.join([cell_fmt] * ncols)
+    text = "\n".join([line % tuple(row) for row in rows])
+    text = text.replace(_NEGATIVE_ZERO, _NEGATIVE_ZERO[1:])
+    if align:
+        cells = text.replace("\n", sep).split(sep)
+        line = sep.join([f"%{max(map(len, cells))}s"] * ncols)
+        rows = [cells[i : i + ncols] for i in range(0, len(cells), ncols)]
+        text = "\n".join([line % tuple(row) for row in rows])
+    return text + "\n"
+
+
 def matrix_to_csv(entries: np.ndarray) -> str:
     """Comma-separated rows, one line per row, no header, 7 decimals."""
-    lines = [",".join(format_fixed(v) for v in row) for row in np.asarray(entries)]
-    return "\n".join(lines) + "\n"
+    return _table(entries, _FIXED_CELL, ",", align=False)
 
 
 def int_matrix_to_csv(entries: np.ndarray) -> str:
-    lines = [",".join(str(int(v)) for v in row) for row in np.asarray(entries)]
-    return "\n".join(lines) + "\n"
+    return _table(entries, "%d", ",", align=False)
 
 
 def matrix_to_pretty(entries: np.ndarray) -> str:
     """Right-aligned fixed-decimal table for terminal display."""
-    cells = [[format_fixed(v) for v in row] for row in np.asarray(entries)]
-    width = max(len(c) for row in cells for c in row)
-    return "\n".join(" ".join(c.rjust(width) for c in row) for row in cells) + "\n"
+    return _table(entries, _FIXED_CELL, " ", align=True)
 
 
 def int_matrix_to_pretty(entries: np.ndarray) -> str:
-    cells = [[str(int(v)) for v in row] for row in np.asarray(entries)]
-    width = max(len(c) for row in cells for c in row)
-    return "\n".join(" ".join(c.rjust(width) for c in row) for row in cells) + "\n"
+    return _table(entries, "%d", " ", align=True)
 
 
 def ortho_matrix_to_json(matrix: OrthoMatrix) -> str:
@@ -74,11 +90,7 @@ def int_matrix_to_c_header(
 ) -> str:
     """Render an integer matrix as a C table, optionally behind a macro."""
     n = im.n
-    width = max(len(str(int(v))) for row in im.entries for v in row)
-    rows = [
-        "{ " + ", ".join(str(int(v)).rjust(width) for v in row) + " }"
-        for row in im.entries
-    ]
+    rows = ["{ " + r + " }" for r in _table(im.entries, "%d", ", ", align=True).splitlines()]
     if macro_name is None:
         body = ",\n".join("  " + r for r in rows)
         return f"static const int {var_name}[{n}][{n}] =\n{{\n{body}\n}};\n"
@@ -91,20 +103,20 @@ def int_matrix_to_c_header(
 
 
 def parse_matrix_csv(text: str) -> np.ndarray:
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rows.append([float(cell) for cell in line.split(",")])
-        except ValueError as exc:
-            raise ValueError(f"could not parse CSV row {line!r}") from exc
-    if not rows:
+    lines = [line for line in map(str.strip, text.splitlines()) if line]
+    if not lines:
         raise ValueError("empty matrix file")
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("ragged rows in matrix file")
-    return np.array(rows, dtype=float)
+    rows = [line.split(",") for line in lines]
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError:
+        # Name the first bad cell's row before calling the rows ragged.
+        for line, row in zip(lines, rows):
+            try:
+                list(map(float, row))
+            except ValueError as exc:
+                raise ValueError(f"could not parse CSV row {line!r}") from exc
+        raise ValueError("ragged rows in matrix file") from None
 
 
 def parse_matrix_json(text: str) -> np.ndarray:

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from orthogen import io
 from orthogen.core import assemble_matrix
@@ -34,6 +37,67 @@ def test_pretty_rendering_aligns():
     assert io.matrix_to_pretty(matrix.entries) == (
         " 0.7071068  0.7071068\n-0.7071068  0.7071068\n"
     )
+
+
+def test_negative_zero_scrubbed_in_first_middle_last_cell():
+    entries = np.array([[-0.0, 1.0, -4e-8], [2.0, -1e-9, 3.0]])
+    assert io.matrix_to_csv(entries) == (
+        "0.0000000,1.0000000,0.0000000\n2.0000000,0.0000000,3.0000000\n"
+    )
+    assert io.matrix_to_pretty(entries) == (
+        "0.0000000 1.0000000 0.0000000\n2.0000000 0.0000000 3.0000000\n"
+    )
+
+
+def test_negative_cells_beside_scrubbed_zero_keep_their_sign():
+    entries = np.array([[-10.0, -1e-8, -0.05]])
+    assert io.matrix_to_csv(entries) == "-10.0000000,0.0000000,-0.0500000\n"
+    assert io.matrix_to_pretty(entries) == "-10.0000000   0.0000000  -0.0500000\n"
+
+
+def test_pretty_alignment_mixed_signs():
+    entries = np.array([[-123.5, 0.25], [7.0, -0.0]])
+    assert io.matrix_to_pretty(entries) == (
+        "-123.5000000    0.2500000\n   7.0000000    0.0000000\n"
+    )
+    assert io.int_matrix_to_pretty(np.array([[-100, 5], [12, -3]])) == (
+        "-100    5\n  12   -3\n"
+    )
+
+
+def test_int_tables_from_float_arrays():
+    entries = np.array([[64.0, -64.0], [83.0, -0.0]])
+    assert io.int_matrix_to_csv(entries) == "64,-64\n83,0\n"
+    assert io.int_matrix_to_pretty(entries) == " 64 -64\n 83   0\n"
+    assert io.int_matrix_to_csv(entries.astype(np.int16)) == "64,-64\n83,0\n"
+
+
+def _reference_table(cells, sep, align):
+    width = max(len(c) for row in cells for c in row) if align else 0
+    return "\n".join(sep.join(c.rjust(width) for c in row) for row in cells) + "\n"
+
+
+_float_tables = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_float_tables)
+def test_fixed_renderers_match_per_cell_format(entries):
+    cells = [[io.format_fixed(v) for v in row] for row in entries]
+    assert io.matrix_to_csv(entries) == _reference_table(cells, ",", align=False)
+    assert io.matrix_to_pretty(entries) == _reference_table(cells, " ", align=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_float_tables.map(lambda a: np.trunc(np.clip(a, -1e12, 1e12))))
+def test_int_renderers_match_per_cell_format(entries):
+    cells = [[str(int(v)) for v in row] for row in entries]
+    assert io.int_matrix_to_csv(entries) == _reference_table(cells, ",", align=False)
+    assert io.int_matrix_to_pretty(entries) == _reference_table(cells, " ", align=True)
 
 
 def test_json_round_trip_full_precision():
@@ -80,6 +144,41 @@ def test_parse_matrix_errors():
         io.parse_matrix_csv("1,x\n")
     with pytest.raises(ValueError):
         io.parse_matrix_json('{"rows": []}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1.5,-2\n3,4e-1\n",
+        "\n1.5,-2\n\n\n3,4e-1\n\n",
+        "1.5,-2\r\n3,4e-1\r\n",
+        "  1.5 , -2\t\n 3,  4e-1  \n",
+    ],
+)
+def test_parse_blank_lines_crlf_and_spaces(text):
+    parsed = io.parse_matrix_csv(text)
+    np.testing.assert_array_equal(parsed, [[1.5, -2.0], [3.0, 0.4]])
+    assert parsed.dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty matrix file"),
+        (" \n\r\n\t\n", "empty matrix file"),
+        ("1,2\n3\n", "ragged rows in matrix file"),
+        ("1,2\n3,4,5\n", "ragged rows in matrix file"),
+        ("1,x\n", "could not parse CSV row '1,x'"),
+        ("1,2\n 3,,4 \n", "could not parse CSV row '3,,4'"),
+        # A bad cell is reported even when the rows are also ragged.
+        ("1,2\n3\nx\n", "could not parse CSV row 'x'"),
+        ("1,2,3\ny,4\n", "could not parse CSV row 'y,4'"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ValueError) as info:
+        io.parse_matrix_csv(text)
+    assert str(info.value) == message
 
 
 def test_read_matrix_sniffing(tmp_path):

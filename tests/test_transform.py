@@ -109,6 +109,34 @@ def test_compaction_keep_bounds(dct8):
         compaction_report(dct8, block, keep=65)
 
 
+def _direct_compaction(matrix, block, keep):
+    """Zero all but the ``keep`` largest coefficients and reconstruct."""
+    m = matrix.entries
+    flat = (m @ block @ m.T).ravel()
+    order = np.argsort(-np.abs(flat), kind="stable")
+    kept = np.zeros_like(flat)
+    kept[order[:keep]] = flat[order[:keep]]
+    retained = float(np.dot(kept, kept) / np.dot(flat, flat))
+    mse = float(np.mean((block - m.T @ kept.reshape(block.shape) @ m) ** 2))
+    return retained, mse
+
+
+@pytest.mark.parametrize("preset, n", [("dct", 8), ("dtt", 16)])
+def test_compaction_matches_direct_reconstruction(preset, n):
+    matrix = assemble_matrix(preset_values(preset, n))
+    rng = np.random.default_rng(35)
+    for _ in range(3):
+        block = rng.uniform(-512, 512, (n, n))
+        for keep in range(1, n * n + 1):
+            retained, mse = compaction_report(matrix, block, keep)
+            want_retained, want_mse = _direct_compaction(matrix, block, keep)
+            assert abs(retained - want_retained) <= 1e-12
+            assert abs(mse - want_mse) <= 1e-12 * max(1.0, want_mse)
+    zero = np.zeros((n, n))
+    for keep in range(1, n * n + 1):
+        assert compaction_report(matrix, zero, keep) == (1.0, 0.0)
+
+
 def test_compaction_zero_block(dct8):
     retained, mse = compaction_report(dct8, np.zeros((8, 8)), keep=3)
     assert retained == 1.0
