@@ -22,6 +22,7 @@ from .errors import (
     ConditioningWarning,
     DegenerateFamilyError,
     DegenerateValuesError,
+    FidelityError,
     OddSizeError,
     SingularSystemError,
     SizeMismatchError,
@@ -58,6 +59,7 @@ __all__ = [
     "ConditioningWarning",
     "DegenerateFamilyError",
     "DegenerateValuesError",
+    "FidelityError",
     "OddSizeError",
     "SingularSystemError",
     "SizeMismatchError",

@@ -1,13 +1,16 @@
 """Command-line interface: generate, verify, quantize, and transform.
 
 Exit codes: 0 success, 1 verification check failed, 2 invalid input
-(values, files, sizes, flags), 3 numeric failure (singular system).
+(values, files, sizes, flags, a transform matrix that is not orthonormal),
+3 numeric failure (singular system, or a generated matrix whose estimated
+entry error or orthonormality residual is above 5e-7 or not finite).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -16,7 +19,7 @@ import numpy as np
 
 from . import io
 from .core import assemble_matrix
-from .errors import SingularSystemError, ZeroRowError
+from .errors import FidelityError, SingularSystemError, ZeroRowError
 from .presets import PRESETS, preset_values
 from .quantize import quantize_matrix
 from .transform import compaction_report, forward_2d, inverse_2d
@@ -184,6 +187,19 @@ def _cmd_transform(args) -> int:
         entries = io.read_matrix(args.matrix)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("transform matrix file must be square")
+        # The inverse is the transpose and the compaction report relies on
+        # Parseval, so the file must hold an orthonormal matrix up to the
+        # rounding of its digits. Rounding Q to 7 decimals adds E with
+        # |E_ij| <= 5e-8, so each entry of M M^T - I = Q E^T + E Q^T + E E^T
+        # is at most 2 * 5e-8 * sqrt(n) + n * (5e-8)^2; the 1e-9 covers the
+        # second-order term and the rounding of the product up to n ~ 1e5.
+        residual = verify_matrix(entries).orthogonality_residual
+        bound = 1e-7 * math.sqrt(entries.shape[0]) + 1e-9
+        if not residual <= bound:
+            raise ValueError(
+                f"transform matrix is not orthonormal: verify residual {residual:.3e} "
+                f"exceeds {bound:.3e}"
+            )
     else:
         entries = assemble_matrix(_resolve_values(args)).entries
     block = io.read_block(args.block)
@@ -258,7 +274,7 @@ def main(argv=None) -> int:
         for caught_warning in caught:
             print(f"warning: {caught_warning.message}", file=sys.stderr)
         return status
-    except (SingularSystemError, ZeroRowError) as exc:
+    except (SingularSystemError, ZeroRowError, FidelityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_FAILURE
     except (ValueError, OSError) as exc:

@@ -10,6 +10,13 @@ class SingularSystemError(ArithmeticError):
     """
 
 
+class FidelityError(ArithmeticError):
+    """Raised when a generated matrix has non-finite entries or may not be the
+    matrix its values define (estimated entry error or orthonormality
+    residual above the documented bound), because the moment systems lost
+    too much precision."""
+
+
 class DegenerateValuesError(ValueError):
     """Raised when generator values are non-positive, duplicated, or non-finite."""
 

@@ -2,12 +2,14 @@
 
 These deliberately avoid the coefficient-induction path: the Gram-Schmidt
 oracle orthonormalizes the raw monomial family over the mirrored sample
-points, and the small-case oracle solves the t=1 coefficient equations in
-closed form with exact rational arithmetic.
+points, the exact oracle runs the three-term recurrence in rational
+arithmetic, and the small-case oracle solves the t=1 coefficient equations
+in closed form with exact rational arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -49,6 +51,32 @@ def gram_schmidt_matrix(values: Sequence[float]) -> np.ndarray:
             )
         rows.append(row / norm)
     return np.vstack(rows)
+
+
+def exact_matrix(values: Sequence[float]) -> np.ndarray:
+    """The matrix the values define, computed in exact rationals and rounded once.
+
+    On the mirrored points x (same column layout as the generator) the monic
+    orthogonal polynomials obey the three-term recurrence
+    p_{k+1} = x p_k - (|p_k|^2 / |p_{k-1}|^2) p_{k-1}, with no constant term
+    because the points are symmetric about zero. Row k is p_k / |p_k| at the
+    points, formed as sign(p) * sqrt(p^2 / |p_k|^2) so that only the final
+    conversion and square root round. Each value is taken exactly as its
+    binary64 number. The rationals grow quickly with n: n <= 16 takes well
+    under a second.
+    """
+    vals = [Fraction(v) for v in np.asarray(values, dtype=float).tolist()]
+    xs = [-v for v in vals] + vals[::-1]
+    n = len(xs)
+    rows = [[Fraction(1)] * n, xs]
+    norms = [Fraction(n), sum(x * x for x in xs)]
+    while len(rows) < n:
+        ratio = norms[-1] / norms[-2]
+        rows.append([x * p - ratio * q for x, p, q in zip(xs, rows[-1], rows[-2])])
+        norms.append(sum(p * p for p in rows[-1]))
+    return np.array(
+        [[math.copysign(math.sqrt(p * p / norm), p) for p in row] for row, norm in zip(rows, norms)]
+    )
 
 
 def small_case_coefficients(values: Sequence[float]) -> tuple[Fraction, ...]:

@@ -105,6 +105,24 @@ def test_generate_singular_exit_3(capsys):
     assert "pivot" in err
 
 
+@pytest.mark.parametrize("preset, size", [("prime", 128), ("fibonacci", 32)])
+def test_generate_inaccurate_matrix_exit_3(capsys, preset, size):
+    # prime n=128 used to print NaN, fibonacci n=32 a matrix 0.5 off; both
+    # exited 0
+    status, out, err = run(capsys, "generate", "--preset", preset, "--size", str(size), "--format", "csv")
+    assert status == 3
+    assert out == ""
+    assert "nan" not in err.lower()
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("size", [32, 34])
+def test_generate_dct_beyond_16_passes_the_guard(capsys, size):
+    status, out, _ = run(capsys, "generate", "--preset", "dct", "--size", str(size), "--format", "csv")
+    assert status == 0
+    assert len(out.splitlines()) == size
+
+
 def test_generate_near_duplicate_warning(capsys):
     status, out, err = run(capsys, "generate", "--values", "1,1.000000001,2", "--format", "csv")
     assert status == 0
@@ -306,6 +324,19 @@ def test_transform_matrix_file_source(tmp_path, capsys):
     )
     assert status == 0
     assert out_path.exists()
+
+
+def test_transform_matrix_file_must_be_orthonormal(tmp_path, capsys):
+    matrix_path = tmp_path / "m.csv"
+    matrix_path.write_text(io.matrix_to_csv(2.0 * np.eye(2)))
+    block = tmp_path / "b.csv"
+    _write_block_csv(block, np.array([[1.0, 2.0], [3.0, 4.0]]))
+    status, out, err = run(
+        capsys, "transform", "--matrix", str(matrix_path), "--block", str(block), "--keep", "4"
+    )
+    assert status == 2
+    assert out == ""
+    assert "not orthonormal" in err and "verify residual 3.000e+00" in err
 
 
 def test_transform_keep_writes_report(tmp_path, capsys):

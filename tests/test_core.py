@@ -1,16 +1,29 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import random_values
+from conftest import random_values, value_sets
+from orthogen import core
 from orthogen.core import (
+    FIDELITY_TOL,
     assemble_matrix,
     build_even_system,
     build_odd_system,
+    fidelity,
     induct_basis,
     normalize_row,
     validate_values,
 )
-from orthogen.errors import ConditioningWarning, DegenerateValuesError, ZeroRowError
+from orthogen.errors import (
+    ConditioningWarning,
+    DegenerateValuesError,
+    FidelityError,
+    ZeroRowError,
+)
 from orthogen.linsolve import determinant, solve
 from orthogen.presets import preset_values
 from reference_matrices import DCT_8, DTT_4
@@ -147,6 +160,39 @@ def test_validate_warns_on_near_duplicates():
         validate_values([1.0, 1.0 + 1e-9])
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([-1.0, np.nan], "non-positive value -1 at index 0"),
+        ([np.nan, -1.0], "non-finite value nan at index 0"),
+        ([2.0, -np.inf, 0.0], "non-finite value -inf at index 1"),
+        ([2.0, 1.0, 0.0, np.inf], "non-positive value 0 at index 2"),
+        ([1.0, 1.0, -1.0], "non-positive value -1 at index 2"),
+        ([2.0, 1.0, 1.0, 2.0], "duplicate value 1"),
+        ([3.0, 2.0, 3.0, 2.0], "duplicate value 3"),
+        ([5.0, 0.5, 4.0, 0.5, 5.0], "duplicate value 0.5"),
+    ],
+)
+def test_validate_error_precedence(values, message):
+    # first bad index wins; at one index non-finite before non-positive;
+    # duplicates only after every value passed, reported as a scan in input
+    # order meets them
+    with pytest.raises(DegenerateValuesError, match=f"^{re.escape(message)}$"):
+        validate_values(values)
+
+
+def test_validate_warns_once_per_neighbouring_pair():
+    # three values within 1e-6 of each other: the two neighbouring pairs warn,
+    # the outer pair does not
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        validate_values([1.0 + 4e-7, 3.0, 1.0, 1.0 + 2e-7])
+    messages = [str(w.message) for w in caught if issubclass(w.category, ConditioningWarning)]
+    assert len(messages) == 2
+    assert messages[0].startswith("values 1 and 1 differ by a relative gap of 2.00e-07")
+    assert all("nearly singular" in msg for msg in messages)
+
+
 def test_validate_soft_cap_and_env_override(monkeypatch):
     values = np.linspace(1.0, 2.0, 17)
     with pytest.warns(ConditioningWarning, match="soft cap"):
@@ -248,6 +294,61 @@ def test_permutation_equivariance():
         np.testing.assert_allclose(
             permuted[:, 2 * m - 1 - k], base[:, 2 * m - 1 - perm[k]], atol=1e-12
         )
+
+
+@given(value_sets(), st.randoms(use_true_random=False))
+def test_permutation_equivariance_bit_exact(values, rnd):
+    perm = np.array(rnd.sample(range(values.size), values.size))
+    try:
+        base = assemble_matrix(values).entries
+    except FidelityError:
+        with pytest.raises(FidelityError):
+            assemble_matrix(values[perm])
+        return
+    permuted = assemble_matrix(values[perm]).entries
+    m = values.size
+    np.testing.assert_array_equal(permuted[:, :m], base[:, :m][:, perm])
+    np.testing.assert_array_equal(permuted[:, m:], base[:, m:][:, ::-1][:, perm][:, ::-1])
+
+
+def test_fidelity_residual_separates_right_from_orthonormal():
+    values = preset_values("dct", 8)
+    entries = assemble_matrix(values).entries
+    assert max(fidelity(entries, values)) <= 1e-15
+    # swapping two rows keeps the matrix orthonormal but makes it wrong
+    swapped = entries[[0, 1, 4, 3, 2, 5, 6, 7]]
+    assert np.abs(swapped @ swapped.T - np.eye(8)).max() <= 1e-12
+    assert fidelity(swapped, values)[0] > 0.1
+    broken = entries.copy()
+    broken[3, 3] = np.nan
+    assert np.isnan(fidelity(broken, values)).all()
+
+
+def test_assemble_refuses_a_wrong_matrix():
+    # m = 16 Fibonacci values: the moment systems lose the higher rows
+    with pytest.raises(FidelityError) as info:
+        assemble_matrix(preset_values("fibonacci", 32))
+    assert isinstance(info.value, ArithmeticError)
+    found = re.search(r"estimated entry error (\S+) \(fidelity residual (\S+)\)", str(info.value))
+    assert found is not None
+    assert float(found.group(1)) > FIDELITY_TOL
+    assert float(found.group(2)) > 0.0
+
+
+def test_assemble_refuses_a_non_orthonormal_matrix(monkeypatch):
+    # Row 2 + 1e-3 * row 0 couples two even rows, which the fidelity residual
+    # cannot see (same-parity entries of M diag(x) M^T vanish for any M);
+    # the orthonormality residual does.
+    canonical = core._canonical
+
+    def skewed(values):
+        raw, order, unit, rows, coefs = canonical(values)
+        rows[2] += 1e-3 * rows[0]
+        return raw, order, unit, rows, coefs
+
+    monkeypatch.setattr(core, "_canonical", skewed)
+    with pytest.raises(FidelityError, match=r"estimated entry error \S+e-1\d .*orthonormality residual \S+e-03"):
+        assemble_matrix(preset_values("dct", 8))
 
 
 def test_determinant_recurrence():
