@@ -9,6 +9,7 @@ entry error or orthonormality residual is above 5e-7 or not finite).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -267,20 +268,29 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            status = args.handler(args)
-        for caught_warning in caught:
-            print(f"warning: {caught_warning.message}", file=sys.stderr)
-        return status
-    except (SingularSystemError, ZeroRowError, FidelityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC_FAILURE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return args.handler(args)
+        except (SingularSystemError, ZeroRowError, FidelityError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC_FAILURE
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
+        finally:
+            # A failure's error line comes first, then the warnings behind it.
+            for caught_warning in caught:
+                print(f"warning: {caught_warning.message}", file=sys.stderr)
+
+
+def run() -> None:
+    """Process entry (``python -m orthogen.cli`` and the ``orthogen`` script)."""
+    # Collections during main and at exit then skip the import-time objects,
+    # most of them NumPy's. Not in main, which callers also run in process.
+    gc.freeze()
+    sys.exit(main())
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -133,7 +133,8 @@ class OrthoMatrix:
     """An assembled 2m x 2m orthonormal matrix plus its provenance.
 
     ``norm_scales[i]`` is the positive factor that scaled row i's monic
-    polynomial samples to unit length.
+    polynomial samples to unit length. For large values it can fall below
+    the double range and then reads 0.0 (values near 1e11 at n = 32).
     """
 
     n: int
@@ -284,6 +285,11 @@ def assemble_matrix(values: Sequence[float]) -> OrthoMatrix:
             f"orthonormality residual {ortho:.2e}, bound {FIDELITY_TOL:.0e}: the moment "
             f"systems for these {m} values are too ill-conditioned"
         )
-    # The rows were normalized in units of the largest value.
-    scales /= unit ** np.arange(n, dtype=float)
+    # The rows were normalized in units of the largest value. unit**g can
+    # overflow, so divide by the powers of unit's mantissa (at least 2**-g)
+    # and apply those of two exactly with ldexp. The scales are below 2**537,
+    # so for n <= 486 no intermediate overflows; only results can underflow.
+    frac, exp = math.frexp(unit)
+    g = np.arange(n)
+    scales = np.ldexp(scales / frac**g, -exp * g)
     return OrthoMatrix(n=n, entries=entries, values=raw, norm_scales=scales)

@@ -28,22 +28,24 @@ def format_fixed(value: float) -> str:
 
 
 def _table(entries: np.ndarray, cell_fmt: str, sep: str, align: bool) -> str:
-    """Render a 2-D array one line per row, each row by one %-format string.
+    """Render a 2-D array one line per row, all cells by one %-format string.
 
     Scrubbing negative zero over the whole text is exact: a fixed cell has
     exactly DECIMALS decimals and a sign only in front. ``align``
     right-justifies every cell to the widest one.
     """
-    rows = np.asarray(entries).tolist()
-    ncols = len(rows[0]) if rows else 0
-    line = sep.join([cell_fmt] * ncols)
-    text = "\n".join([line % tuple(row) for row in rows])
+    arr = np.asarray(entries)
+    nrows = len(arr)
+    ncols = arr.shape[1] if nrows else 0
+
+    def layout(fmt: str) -> str:
+        return "\n".join([sep.join([fmt] * ncols)] * nrows)
+
+    text = layout(cell_fmt) % tuple(arr.ravel().tolist())
     text = text.replace(_NEGATIVE_ZERO, _NEGATIVE_ZERO[1:])
     if align:
         cells = text.replace("\n", sep).split(sep)
-        line = sep.join([f"%{max(map(len, cells))}s"] * ncols)
-        rows = [cells[i : i + ncols] for i in range(0, len(cells), ncols)]
-        text = "\n".join([line % tuple(row) for row in rows])
+        text = layout(f"%{max(map(len, cells))}s") % tuple(cells)
     return text + "\n"
 
 

@@ -3,8 +3,9 @@
 These deliberately avoid the coefficient-induction path: the Gram-Schmidt
 oracle orthonormalizes the raw monomial family over the mirrored sample
 points, the exact oracle runs the three-term recurrence in rational
-arithmetic, and the small-case oracle solves the t=1 coefficient equations
-in closed form with exact rational arithmetic.
+arithmetic, the DCT oracle is the closed-form DCT-II, and the small-case
+oracle solves the t=1 coefficient equations in closed form with exact
+rational arithmetic.
 """
 
 from __future__ import annotations
@@ -77,6 +78,19 @@ def exact_matrix(values: Sequence[float]) -> np.ndarray:
     return np.array(
         [[math.copysign(math.sqrt(p * p / norm), p) for p in row] for row, norm in zip(rows, norms)]
     )
+
+
+def dct_matrix(n: int) -> np.ndarray:
+    """The closed-form orthonormal n x n DCT-II,
+    C[k, j] = sqrt((2 - [k == 0]) / n) * cos(pi * k * (2j + 1) / (2n)).
+
+    Its samples run from the largest point down, so the generator's ``dct``
+    preset gives it with the odd rows negated.
+    """
+    k, j = np.ogrid[:n, :n]
+    c = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * j + 1) / (2 * n))
+    c[0] /= math.sqrt(2.0)
+    return c
 
 
 def small_case_coefficients(values: Sequence[float]) -> tuple[Fraction, ...]:

@@ -1,11 +1,14 @@
 """Separable 2D block transforms built on a generated matrix.
 
-Blocks are plain n x n float arrays; the forward transform maps spatial
-samples to frequency coefficients via M @ X @ M.T and the inverse undoes it
-through the transpose, so round trips are exact up to floating-point noise.
+Blocks are n x n float arrays, or (..., n, n) stacks of them; the forward
+transform maps spatial samples to frequency coefficients via M @ X @ M.T and
+the inverse undoes it through the transpose, so round trips are exact up to
+floating-point noise.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -13,34 +16,30 @@ from .core import OrthoMatrix
 from .errors import SizeMismatchError
 
 
-def _entries(matrix) -> np.ndarray:
-    if isinstance(matrix, OrthoMatrix):
-        return matrix.entries
-    return np.asarray(matrix, dtype=float)
-
-
-def _checked_block(m: np.ndarray, block) -> np.ndarray:
-    b = np.asarray(block, dtype=float)
-    if b.shape != (m.shape[0], m.shape[0]):
-        raise SizeMismatchError(
-            f"block shape {b.shape} does not match transform size {m.shape[0]}"
-        )
-    if not np.all(np.isfinite(b)):
+def _operands(matrix, block, stack: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix entries and the block as floats; the block must be n x n
+    (or, with ``stack``, a ``(..., n, n)`` stack of blocks) and finite."""
+    m = matrix.entries if isinstance(matrix, OrthoMatrix) else np.asarray(matrix, dtype=float)
+    x = np.asarray(block, dtype=float)
+    n = m.shape[0]
+    if x.shape[-2:] != (n, n) or not (stack or x.ndim == 2):
+        raise SizeMismatchError(f"block shape {x.shape} does not match transform size {n}")
+    # A finite sum of squares rules out NaN and +/-inf in one reduction; it
+    # overflows for huge finite samples, so only then scan elementwise.
+    if not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
         raise ValueError("block samples must be finite")
-    return b
+    return m, x
 
 
 def forward_2d(matrix, block) -> np.ndarray:
-    """Spatial block -> frequency coefficients (energy preserving)."""
-    m = _entries(matrix)
-    x = _checked_block(m, block)
+    """Spatial block or stack -> frequency coefficients (energy preserving)."""
+    m, x = _operands(matrix, block, stack=True)
     return m @ x @ m.T
 
 
 def inverse_2d(matrix, block) -> np.ndarray:
-    """Frequency coefficients -> spatial block."""
-    m = _entries(matrix)
-    y = _checked_block(m, block)
+    """Frequency coefficients (one block or a stack) -> spatial samples."""
+    m, y = _operands(matrix, block, stack=True)
     return m.T @ y @ m
 
 
@@ -52,13 +51,14 @@ def compaction_report(matrix, block, keep: int) -> tuple[float, float]:
     dropped energy over n^2, which by Parseval's identity is the
     reconstruction error for an orthonormal matrix.
     """
-    m = _entries(matrix)
-    x = _checked_block(m, block)
+    m, x = _operands(matrix, block, stack=False)
     n2 = x.size
     if not 1 <= keep <= n2:
         raise ValueError(f"keep must be in 1..{n2}, got {keep}")
     # Ties in magnitude do not change the energies, so sorting them suffices.
-    energy = np.sort(np.square(m @ x @ m.T).ravel())
+    energy = (m @ x @ m.T).ravel()
+    energy *= energy
+    energy.sort()
     total = float(energy.sum())
     dropped = float(energy[: n2 - keep].sum())
     retained = 1.0 if total == 0.0 else (total - dropped) / total

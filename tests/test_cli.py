@@ -1,10 +1,17 @@
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orthogen
 from orthogen import io
 from orthogen.cli import main, verify_matrix
+from orthogen.core import assemble_matrix
 from reference_matrices import DCT_8, DCT_8_INT, DTT_4, DTT_4_INT_128, DTT_8_INT
 
 DCT8_C_HEADER = """\
@@ -103,6 +110,68 @@ def test_generate_singular_exit_3(capsys):
     )
     assert status == 3
     assert "pivot" in err
+
+
+def test_warnings_follow_the_numeric_error_line(capsys):
+    # The near-duplicate warnings explain the singular system; they come after
+    # the error line, which stays the first line of stderr.
+    status, out, err = run(
+        capsys, "generate", "--values", "1,1.0000000000001,1.0000000000002,1.0000000000003"
+    )
+    lines = err.splitlines()
+    assert status == 3 and out == ""
+    assert lines[0].startswith("error:")
+    assert len(lines) == 4
+    assert all(line.startswith("warning:") and "relative gap" in line for line in lines[1:])
+
+
+def test_warnings_follow_the_bad_input_error_line(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    status, out, err = run(
+        capsys, "transform", "--values", "1,1.000000001,2", "--block", str(missing)
+    )
+    lines = err.splitlines()
+    assert status == 2 and out == ""
+    assert lines[0].startswith("error:") and "missing.csv" in lines[0]
+    assert len(lines) == 2 and "relative gap" in lines[1]
+
+
+def test_norm_scales_of_large_values_do_not_overflow(capsys):
+    values = np.arange(1, 17) * 1e10
+    status, out, err = run(
+        capsys, "generate", "--values", ",".join(f"{v:g}" for v in values), "--format", "json"
+    )
+    assert status == 0
+    assert err == ""
+    scales = np.array(json.loads(out)["normScales"])
+    # The former c / unit**g, with c the scales of the same values in units
+    # of their largest: keep the rows where it neither overflowed nor vanished.
+    unit = values.max()
+    with np.errstate(over="ignore"):
+        old = assemble_matrix(values / unit).norm_scales / unit ** np.arange(32.0)
+    kept = np.isfinite(old) & (old != 0.0)
+    assert kept.sum() == 28
+    np.testing.assert_allclose(scales[kept], old[kept], rtol=1e-12)
+    # Rows 28 and 29 are new; the last two fall below the double range.
+    assert (scales[:30] > 0.0).all() and (scales[30:] == 0.0).all()
+
+
+def test_module_entry_matches_in_process_main(capsys):
+    argv = ["generate", "--preset", "dct", "--size", "8"]
+    status, out, _ = run(capsys, *argv)
+    env = dict(os.environ, PYTHONPATH=str(Path(orthogen.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "orthogen.cli", *argv], capture_output=True, env=env, timeout=60
+    )
+    assert proc.returncode == status == 0
+    assert proc.stdout == out.encode("utf-8")
+    assert proc.stderr == b""
+
+
+def test_main_leaves_the_gc_freeze_count_unchanged(capsys):
+    before = gc.get_freeze_count()
+    assert run(capsys, "generate", "--preset", "dct", "--size", "8")[0] == 0
+    assert gc.get_freeze_count() == before
 
 
 @pytest.mark.parametrize("preset, size", [("prime", 128), ("fibonacci", 32)])

@@ -7,8 +7,8 @@ from hypothesis import example, given
 
 from conftest import random_values, value_sets
 from orthogen.core import assemble_matrix, fidelity, induct_basis
-from orthogen.errors import DegenerateFamilyError, FidelityError
-from orthogen.oracles import exact_matrix, gram_schmidt_matrix, small_case_coefficients
+from orthogen.errors import DegenerateFamilyError, FidelityError, SingularSystemError
+from orthogen.oracles import dct_matrix, exact_matrix, gram_schmidt_matrix, small_case_coefficients
 from orthogen.presets import PRESETS, preset_values
 from reference_matrices import DCT_8, DTT_4
 
@@ -134,3 +134,33 @@ def test_matches_exact_oracle_or_reports_why(values):
         return
     error = _sign_aligned_error(entries, exact_matrix(values))
     assert error <= max(1e-10, fidelity(entries, values)[1])
+
+
+def test_dct_oracle_is_the_golden_table_with_odd_rows_negated():
+    signs = np.where(np.arange(8) % 2, -1.0, 1.0)
+    np.testing.assert_allclose(signs[:, None] * dct_matrix(8), DCT_8, atol=5e-8)
+    c = dct_matrix(48)
+    assert np.abs(c @ c.T - np.eye(48)).max() <= 1e-14
+
+
+# dtt's exact rationals grow too large except at n = 32 and 64.
+_ABOVE_16 = [
+    (name, n)
+    for name in PRESETS
+    for n in (18, 24, 32, 40, 48, 64)
+    if name != "dtt" or n in (32, 64)
+]
+
+
+@pytest.mark.filterwarnings("ignore::orthogen.errors.ConditioningWarning")
+@pytest.mark.parametrize("name, n", _ABOVE_16)
+def test_returned_matrices_above_16_match_their_reference(name, n):
+    # Above n = 16 only closed-form or exact references can tell a wrong
+    # matrix from the right one; refusing to return a matrix is allowed.
+    values = preset_values(name, n)
+    try:
+        entries = assemble_matrix(values).entries
+    except (FidelityError, SingularSystemError):
+        return
+    reference = dct_matrix(n) if name == "dct" else exact_matrix(values)
+    assert _sign_aligned_error(entries, reference) <= 5e-7

@@ -148,3 +148,49 @@ def test_plain_array_matrix_accepted(dct8):
     via_object = forward_2d(dct8, block)
     via_array = forward_2d(dct8.entries, block)
     np.testing.assert_array_equal(via_object, via_array)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sample_rejected_everywhere(dct8, bad):
+    block = np.ones((8, 8))
+    block[5, 2] = bad
+    for call in (forward_2d, inverse_2d):
+        with pytest.raises(ValueError, match="finite"):
+            call(dct8, block)
+        with pytest.raises(ValueError, match="finite"):
+            call(dct8, np.stack([np.ones((8, 8)), block]))
+    with pytest.raises(ValueError, match="finite"):
+        compaction_report(dct8, block, keep=4)
+
+
+def test_huge_finite_block_accepted(dct8):
+    # Its sum of squares overflows, so finiteness is decided sample by sample.
+    block = np.full((8, 8), 1e200)
+    assert not np.isfinite(np.vdot(block, block))
+    coeffs = forward_2d(dct8, block)
+    assert coeffs[0, 0] == pytest.approx(8e200)
+    np.testing.assert_allclose(inverse_2d(dct8, coeffs), block)
+
+
+def test_stack_matches_per_block_results(dct8):
+    blocks = np.random.default_rng(36).uniform(-1024, 1023, (3, 8, 8))
+    coeffs = forward_2d(dct8, blocks)
+    restored = inverse_2d(dct8, coeffs)
+    assert coeffs.shape == restored.shape == (3, 8, 8)
+    for block, coeff, back in zip(blocks, coeffs, restored):
+        np.testing.assert_array_equal(coeff, forward_2d(dct8, block))
+        np.testing.assert_array_equal(back, inverse_2d(dct8, coeff))
+
+
+@pytest.mark.parametrize("shape", [(3, 8, 4), (3, 4, 8), (2, 3, 4, 4), (8,), ()])
+def test_stack_with_wrong_trailing_shape_rejected(dct8, shape):
+    for call in (forward_2d, inverse_2d):
+        with pytest.raises(SizeMismatchError):
+            call(dct8, np.zeros(shape))
+
+
+def test_compaction_takes_exactly_one_block(dct8):
+    with pytest.raises(SizeMismatchError):
+        compaction_report(dct8, np.zeros((1, 8, 8)), keep=1)
+    with pytest.raises(SizeMismatchError):
+        compaction_report(dct8, np.zeros((3, 8, 8)), keep=1)
