@@ -210,20 +210,16 @@ def _cmd_transform(args) -> int:
         result = forward_2d(entries, block)
     else:
         result = inverse_2d(entries, block)
-    _emit(io.matrix_to_csv(result), args.out)
+    report = ""
     if args.keep is not None:
+        # Before any output, so an invalid --keep writes nothing.
         retained, mse = compaction_report(entries, block, args.keep)
-        report = {
-            "n": int(entries.shape[0]),
-            "keep": args.keep,
-            "retained_energy_fraction": retained,
-            "reconstruction_mse": mse,
-        }
-        text = json.dumps(report, indent=2) + "\n"
-        if args.report is not None:
-            _emit(text, args.report)
-        else:
-            sys.stdout.write(text)
+        fields = {"n": int(entries.shape[0]), "keep": args.keep,
+                  "retained_energy_fraction": retained, "reconstruction_mse": mse}
+        report = json.dumps(fields, indent=2) + "\n"
+    _emit(io.matrix_to_csv(result), args.out)
+    if report:
+        _emit(report, args.report)
     return EXIT_OK
 
 

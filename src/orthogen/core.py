@@ -17,7 +17,6 @@ rows, - for odd rows).
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -27,29 +26,12 @@ import numpy as np
 from . import linsolve
 from .errors import ConditioningWarning, DegenerateValuesError, FidelityError, ZeroRowError
 
-DEFAULT_MAX_M = 16
-MAX_M_ENV_VAR = "ORTHOGEN_MAX_M"
-
 # Relative gap below which two values are close enough to wreck conditioning.
 NEAR_DUPLICATE_RTOL = 1e-6
 
 # Bound on a generated matrix's estimated entry error and orthonormality
 # residual; the 7-decimal tables and CSV output round at 5e-8.
 FIDELITY_TOL = 5e-7
-
-
-def soft_max_m() -> int:
-    """Soft cap on m (half the matrix size); above it we warn, not refuse."""
-    raw = os.environ.get(MAX_M_ENV_VAR)
-    if raw is None:
-        return DEFAULT_MAX_M
-    try:
-        return int(raw)
-    except ValueError:
-        warnings.warn(
-            f"ignoring non-integer {MAX_M_ENV_VAR}={raw!r}", ConditioningWarning
-        )
-        return DEFAULT_MAX_M
 
 
 def _validated(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -76,15 +58,8 @@ def _validated(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     for k in np.flatnonzero(gaps < NEAR_DUPLICATE_RTOL):
         i, j = sorted(order[k : k + 2])
         warnings.warn(
-            f"values {arr[i]:g} and {arr[j]:g} differ by a relative gap "
+            f"values {float(arr[i])!r} and {float(arr[j])!r} differ by a relative gap "
             f"of {gaps[k]:.2e}; the coefficient systems will be nearly singular",
-            ConditioningWarning,
-        )
-    cap = soft_max_m()
-    if arr.size > cap:
-        warnings.warn(
-            f"m={arr.size} exceeds the soft cap {cap}; double-precision conditioning "
-            "degrades for large matrices",
             ConditioningWarning,
         )
     return arr, order
@@ -94,8 +69,9 @@ def validate_values(values: Sequence[float]) -> np.ndarray:
     """Check a value set and return it as a float array (order preserved).
 
     Values must be finite, strictly positive, and pairwise distinct.
-    Neighbours (in sorted order) closer than ``NEAR_DUPLICATE_RTOL`` and
-    sizes beyond the soft cap draw a :class:`ConditioningWarning`.
+    Neighbours (in sorted order) closer than ``NEAR_DUPLICATE_RTOL`` draw a
+    :class:`ConditioningWarning`; whether a size is too large is decided
+    afterwards, by the fidelity check in :func:`assemble_matrix`.
     """
     return _validated(values)[0]
 
@@ -195,6 +171,17 @@ def _canonical(values: Sequence[float]) -> tuple:
     return raw, order, unit, rows.astype(float), coefs
 
 
+def _in_value_units(x: np.ndarray, unit: float, k: np.ndarray) -> np.ndarray:
+    """``x * unit**k`` for integer powers k: takes a quantity computed in
+    units of the largest value back to the values' own units. unit**k can
+    overflow or vanish, so split unit = frac * 2**exp (frac in [0.5, 1)),
+    divide by frac**-k, which lies within a factor 2**|k| of 1, and apply the
+    power of two exactly with ldexp. At the sizes the fidelity check passes,
+    only results outside the double range overflow or underflow."""
+    frac, exp = math.frexp(unit)
+    return np.ldexp(x / frac**-k, exp * k)
+
+
 def induct_basis(values: Sequence[float]) -> ReducedBasis:
     """Build the full monic even/odd family for a value set.
 
@@ -206,8 +193,8 @@ def induct_basis(values: Sequence[float]) -> ReducedBasis:
     # Undo the rescaling: a degree-g evaluation picks up unit**g, the trailing
     # coefficient at power g-2p picks up unit**(2p).
     evals = np.empty_like(rows)
-    evals[:, order] = rows * unit ** np.arange(rows.shape[0], dtype=float)[:, None]
-    coefs = [d * unit ** (2.0 * np.arange(1, d.size + 1)) for d in coefs]
+    evals[:, order] = _in_value_units(rows, unit, np.arange(rows.shape[0])[:, None])
+    coefs = [_in_value_units(d, unit, 2 * np.arange(1, d.size + 1)) for d in coefs]
     return ReducedBasis(
         values=raw,
         even_evals=list(evals[0::2]),
@@ -217,19 +204,20 @@ def induct_basis(values: Sequence[float]) -> ReducedBasis:
     )
 
 
-def normalize_row(evals: Sequence[float]) -> tuple[float, np.ndarray]:
+def normalize_row(evals) -> tuple[np.ndarray, np.ndarray]:
     """Scale half-row samples to unit row length.
 
-    Returns ``(c, c * evals)`` with the positive root
-    ``c = (2 * sum(evals**2)) ** -0.5``; the factor 2 accounts for the
-    mirrored half of the row.
+    ``evals`` is one half-row or a ``(..., m)`` stack of them. Returns
+    ``(c, c * evals)`` with one positive ``c = (2 * sum(evals**2)) ** -0.5``
+    per row; the factor 2 accounts for the mirrored half of the row.
     """
     evals = np.asarray(evals, dtype=float)
-    energy = float(evals @ evals)
-    if energy == 0.0:
+    # Stacked matmul rounds each energy exactly as ``row @ row`` does.
+    energy = (evals[..., None, :] @ evals[..., :, None])[..., 0, 0]
+    if (energy == 0.0).any():
         raise ZeroRowError("cannot normalize an all-zero row")
-    c = 1.0 / math.sqrt(2.0 * energy)
-    return c, c * evals
+    c = 1.0 / np.sqrt(2.0 * energy)
+    return c, c[..., None] * evals
 
 
 def fidelity(entries: np.ndarray, values: Sequence[float]) -> tuple[float, float]:
@@ -270,9 +258,7 @@ def assemble_matrix(values: Sequence[float]) -> OrthoMatrix:
     m = raw.size
     n = 2 * m
     half = np.empty((n, m))
-    scales = np.empty(n)
-    for g in range(n):
-        scales[g], half[g, order] = normalize_row(rows[g])
+    scales, half[:, order] = normalize_row(rows)
     entries = np.empty((n, n))
     entries[:, :m] = half
     entries[1::2, :m] *= -1.0
@@ -285,11 +271,6 @@ def assemble_matrix(values: Sequence[float]) -> OrthoMatrix:
             f"orthonormality residual {ortho:.2e}, bound {FIDELITY_TOL:.0e}: the moment "
             f"systems for these {m} values are too ill-conditioned"
         )
-    # The rows were normalized in units of the largest value. unit**g can
-    # overflow, so divide by the powers of unit's mantissa (at least 2**-g)
-    # and apply those of two exactly with ldexp. The scales are below 2**537,
-    # so for n <= 486 no intermediate overflows; only results can underflow.
-    frac, exp = math.frexp(unit)
-    g = np.arange(n)
-    scales = np.ldexp(scales / frac**g, -exp * g)
+    # The rows were normalized in units of the largest value.
+    scales = _in_value_units(scales, unit, -np.arange(n))
     return OrthoMatrix(n=n, entries=entries, values=raw, norm_scales=scales)

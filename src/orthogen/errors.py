@@ -4,9 +4,10 @@
 class SingularSystemError(ArithmeticError):
     """Raised when elimination meets a pivot too small to trust.
 
-    For the coefficient systems built by :mod:`orthogen.core` this signals
-    invalid generator values upstream (duplicates or non-positive entries),
-    since distinct positive values guarantee nonsingular systems.
+    Distinct positive values make the coefficient systems of
+    :mod:`orthogen.core` nonsingular in exact arithmetic, but values packed
+    closely enough still trip the test in double precision (four values
+    within 3e-13 of 1 do).
     """
 
 

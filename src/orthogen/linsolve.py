@@ -1,17 +1,14 @@
-"""Minimal dense kernel: solve square systems and compute determinants.
+"""Dense kernel for the coefficient induction: square solves and determinants.
 
-Gaussian elimination with partial pivoting, sized for the tiny systems the
-coefficient induction produces (t <= m-1 unknowns). Inputs are never mutated.
-
-Systems are equilibrated with power-of-two row/column scales before
-elimination; that is exact in binary64 and makes the pivot threshold respond
+``solve`` runs Gaussian elimination with partial pivoting, sized for the tiny
+systems the induction produces (t <= m-1 unknowns), and refuses a pivot too
+small to trust. It equilibrates each system with power-of-two row/column
+scales first; that is exact in binary64 and makes the pivot threshold respond
 to genuine rank deficiency instead of the heavy grading the moment systems
-carry.
+carry. ``determinant`` is NumPy's LU determinant. Inputs are never mutated.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -32,7 +29,7 @@ def _checked_square(a) -> np.ndarray:
 
 def _pow2_scales(maxima: np.ndarray) -> np.ndarray:
     # Exact power-of-two factor with max/scale in [0.5, 1); 1.0 for zero rows.
-    return np.array([2.0 ** math.frexp(v)[1] if v > 0.0 else 1.0 for v in maxima])
+    return np.ldexp(1.0, np.frexp(maxima)[1])
 
 
 def solve(a, rhs) -> np.ndarray:
@@ -81,17 +78,5 @@ def solve(a, rhs) -> np.ndarray:
 
 
 def determinant(a) -> float:
-    """Determinant via the pivot product; returns ~0.0 for singular input."""
-    a = _checked_square(a)
-    n = a.shape[0]
-    sign = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[p, k] == 0.0:
-            return 0.0
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            sign = -sign
-        factors = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k + 1 :] -= np.outer(factors, a[k, k + 1 :])
-    return sign * float(np.prod(np.diag(a)))
+    """Determinant of a square matrix (LAPACK LU); ~0.0 for singular input."""
+    return float(np.linalg.det(_checked_square(a)))

@@ -15,7 +15,7 @@ PRESETS = ("dct", "dtt", "triangular", "prime", "fibonacci")
 
 
 def _first_primes(count: int) -> list[int]:
-    # Trial division; the size cap keeps count tiny.
+    # Trial division; count is m = n/2, small at every size the fidelity check passes.
     primes: list[int] = []
     candidate = 2
     while len(primes) < count:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,15 +28,21 @@ def auto_scale(n: int) -> float:
 
 
 def quantize_matrix(matrix: OrthoMatrix, scale: float | str = AUTO_SCALE) -> IntMatrix:
-    """Scale and round to integers, rounding ties away from zero."""
+    """Scale and round to integers, rounding ties away from zero.
+
+    Raises ``ValueError`` for a scale that is not positive and finite, or
+    whose rounded entries do not fit in int64.
+    """
     if scale == AUTO_SCALE:
         factor = auto_scale(matrix.n)
     else:
         factor = float(scale)
-        if not factor > 0.0:
-            raise ValueError(f"scale must be positive, got {factor:g}")
+        if not 0.0 < factor < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {factor:g}")
     scaled = matrix.entries * factor
     rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
+    if not np.abs(rounded).max() < 2.0**63:
+        raise ValueError(f"scale {factor:g} rounds entries beyond the int64 range")
     return IntMatrix(
         n=matrix.n,
         entries=rounded.astype(np.int64),

@@ -55,11 +55,24 @@ def compaction_report(matrix, block, keep: int) -> tuple[float, float]:
     n2 = x.size
     if not 1 <= keep <= n2:
         raise ValueError(f"keep must be in 1..{n2}, got {keep}")
-    # Ties in magnitude do not change the energies, so sorting them suffices.
     energy = (m @ x @ m.T).ravel()
+    # Squares of huge coefficients overflow, and those of tiny ones lose bits
+    # to subnormals; for a sum of at least 2**-969 (2**53 times the smallest
+    # normal) that loss is below the sum's rounding. Otherwise rescale by a
+    # power of two, which is exact and cancels in the fraction, and scale the
+    # mse back.
+    shift = 0
+    if not 2.0**-969 <= np.vdot(energy, energy) < math.inf:
+        shift = int(np.frexp(np.abs(energy).max())[1])
+        energy = np.ldexp(energy, -shift)
+    # Ties in magnitude do not change the energies, so sorting them suffices.
     energy *= energy
     energy.sort()
     total = float(energy.sum())
     dropped = float(energy[: n2 - keep].sum())
     retained = 1.0 if total == 0.0 else (total - dropped) / total
-    return retained, dropped / n2
+    mse = dropped / n2
+    if shift:
+        with np.errstate(over="ignore"):  # an mse beyond the double range reads inf
+            mse = float(np.ldexp(mse, 2 * shift))
+    return retained, mse

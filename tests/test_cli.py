@@ -187,9 +187,12 @@ def test_generate_inaccurate_matrix_exit_3(capsys, preset, size):
 
 @pytest.mark.parametrize("size", [32, 34])
 def test_generate_dct_beyond_16_passes_the_guard(capsys, size):
-    status, out, _ = run(capsys, "generate", "--preset", "dct", "--size", str(size), "--format", "csv")
+    # m = 17 at n = 34 drew the former soft-cap warning; sizes are now
+    # judged only by the fidelity check, which these pass
+    status, out, err = run(capsys, "generate", "--preset", "dct", "--size", str(size), "--format", "csv")
     assert status == 0
     assert len(out.splitlines()) == size
+    assert err == ""
 
 
 def test_generate_near_duplicate_warning(capsys):
@@ -197,17 +200,6 @@ def test_generate_near_duplicate_warning(capsys):
     assert status == 0
     assert "warning:" in err and "relative gap" in err
     assert "warning" not in out
-
-
-def test_soft_cap_warning_and_override(capsys, monkeypatch):
-    # m = 17 exceeds the default cap; well-spread Chebyshev values still work
-    status, _, err = run(capsys, "generate", "--preset", "dct", "--size", "34", "--format", "csv")
-    assert status == 0
-    assert "soft cap" in err
-    monkeypatch.setenv("ORTHOGEN_MAX_M", "32")
-    status, _, err = run(capsys, "generate", "--preset", "dct", "--size", "34", "--format", "csv")
-    assert status == 0
-    assert "soft cap" not in err
 
 
 def test_verify_identity_passes(tmp_path, capsys):
@@ -339,6 +331,15 @@ def test_quantize_bad_scale(capsys):
     assert run(capsys, "quantize", "--values", "1", "--scale", "abc")[0] == 2
 
 
+@pytest.mark.parametrize("scale", ["inf", "nan", "1e300"])
+def test_quantize_scale_beyond_int64_exit_2(capsys, scale):
+    # inf and 1e300 used to exit 0 with a table of -9223372036854775808
+    status, out, err = run(capsys, "quantize", "--preset", "dct", "--size", "4", "--scale", scale)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def _write_block_csv(path, block):
     path.write_text(io.matrix_to_csv(block))
 
@@ -432,6 +433,23 @@ def test_transform_keep_zero_rejected(tmp_path, capsys):
     )
     assert status == 2
     assert "keep" in err
+
+
+def test_transform_invalid_keep_writes_nothing(tmp_path, capsys):
+    # --keep used to be checked after the coefficient table was written
+    block = tmp_path / "b.csv"
+    _write_block_csv(block, np.ones((8, 8)))
+    out_path = tmp_path / "y.csv"
+    for keep in ("0", "65"):
+        for extra in ([], ["--out", str(out_path)]):
+            status, out, err = run(
+                capsys, "transform", "--preset", "dct", "--size", "8",
+                "--block", str(block), "--keep", keep, *extra,
+            )
+            assert status == 2
+            assert out == ""
+            assert "keep must be in 1..64" in err
+    assert not out_path.exists()
 
 
 def test_transform_keep_with_inverse_rejected(tmp_path, capsys):

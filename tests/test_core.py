@@ -189,20 +189,52 @@ def test_validate_warns_once_per_neighbouring_pair():
         validate_values([1.0 + 4e-7, 3.0, 1.0, 1.0 + 2e-7])
     messages = [str(w.message) for w in caught if issubclass(w.category, ConditioningWarning)]
     assert len(messages) == 2
-    assert messages[0].startswith("values 1 and 1 differ by a relative gap of 2.00e-07")
+    assert messages[0].startswith("values 1.0 and 1.0000002 differ by a relative gap of 2.00e-07")
+    assert messages[1].startswith("values 1.0000004 and 1.0000002 differ")
     assert all("nearly singular" in msg for msg in messages)
 
 
-def test_validate_soft_cap_and_env_override(monkeypatch):
-    values = np.linspace(1.0, 2.0, 17)
-    with pytest.warns(ConditioningWarning, match="soft cap"):
-        validate_values(values)
-    monkeypatch.setenv("ORTHOGEN_MAX_M", "32")
-    import warnings
-
+def test_validate_size_draws_no_warning(monkeypatch):
+    # The former soft cap warned above m = 16 and read this variable; the
+    # fidelity check in assemble_matrix now decides which sizes are too large.
+    monkeypatch.setenv("ORTHOGEN_MAX_M", "4")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        validate_values(values)
+        validate_values(np.linspace(1.0, 2.0, 17))
+
+
+def test_normalize_row_stack_matches_rows_bit_for_bit():
+    rows = np.random.default_rng(5).normal(size=(2, 3, 7))
+    scales, unit = normalize_row(rows)
+    assert scales.shape == (2, 3) and unit.shape == rows.shape
+    for index in np.ndindex(2, 3):
+        row = rows[index]
+        c = 1.0 / np.sqrt(2.0 * (row @ row))
+        assert scales[index] == c
+        np.testing.assert_array_equal(unit[index], c * row)
+
+
+def test_induct_basis_large_values_overflow_only_where_the_double_range_ends():
+    # unit**g overflowed before the multiply, so evaluations and coefficients
+    # that fit in a double came out inf. Scaling the values by 2**-40 is
+    # exact and leaves the induction bit for bit the same, so scaling that
+    # basis back gives the exact reference.
+    values = np.arange(1, 17) * 1e10
+    small = induct_basis(values * 2.0**-40)
+    with np.errstate(over="ignore"):
+        basis = induct_basis(values)
+        for family, reference, first in (
+            (basis.even_evals, small.even_evals, 0),
+            (basis.odd_evals, small.odd_evals, 1),
+        ):
+            for t, (got, want) in enumerate(zip(family, reference)):
+                np.testing.assert_array_equal(got, np.ldexp(want, 40 * (2 * t + first)))
+        for family, reference in (
+            (basis.even_coefs, small.even_coefs),
+            (basis.odd_coefs, small.odd_coefs),
+        ):
+            for got, want in zip(family, reference):
+                np.testing.assert_array_equal(got, np.ldexp(want, 80 * np.arange(1, want.size + 1)))
 
 
 def test_assemble_two_by_two():

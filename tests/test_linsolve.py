@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from orthogen import linsolve
 from orthogen.errors import SingularSystemError
 from orthogen.linsolve import determinant, solve
 
@@ -85,3 +88,11 @@ def test_inputs_not_mutated():
     determinant(a)
     np.testing.assert_array_equal(a, a_copy)
     np.testing.assert_array_equal(rhs, rhs_copy)
+
+
+def test_pow2_scales_match_the_frexp_loop():
+    # max/scale in [0.5, 1) for every positive maximum, 1.0 for a zero one,
+    # as the per-entry math.frexp loop gave
+    maxima = np.array([0.0, 5e-324, 2.2e-308, 0.5, 1.0, 3.0, 1e300, np.finfo(float).max / 2])
+    want = [2.0 ** math.frexp(v)[1] if v > 0.0 else 1.0 for v in maxima]
+    np.testing.assert_array_equal(linsolve._pow2_scales(maxima), want)

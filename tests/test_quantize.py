@@ -85,3 +85,18 @@ def test_bad_scale_rejected():
         quantize_matrix(matrix, scale=0.0)
     with pytest.raises(ValueError):
         quantize_matrix(matrix, scale=-3.0)
+
+
+@pytest.mark.parametrize("scale", [np.inf, np.nan, 1e300, 2.0**64])
+def test_scale_beyond_int64_rejected(scale):
+    # the rounded entries must stay below 2**63; inf and 1e300 used to give
+    # a table of -2**63
+    with pytest.raises(ValueError, match="scale"):
+        quantize_matrix(assemble_matrix([1.0]), scale=scale)
+
+
+def test_largest_entries_within_int64_accepted():
+    # +-1/sqrt(2) times 2**63 is exact and about 0.71 * 2**63
+    matrix = assemble_matrix([1.0])
+    im = quantize_matrix(matrix, scale=2.0**63)
+    np.testing.assert_array_equal(im.entries, (matrix.entries * 2.0**63).astype(np.int64))

@@ -172,6 +172,26 @@ def test_huge_finite_block_accepted(dct8):
     np.testing.assert_allclose(inverse_2d(dct8, coeffs), block)
 
 
+def test_compaction_of_a_block_whose_energy_overflows(dct8):
+    # The squared coefficients sum to inf; the retained fraction used to be NaN.
+    retained, mse = compaction_report(dct8, np.full((8, 8), 1e200), keep=1)
+    assert retained == pytest.approx(1.0)
+    assert mse >= 0.0
+
+
+@pytest.mark.parametrize("k", [-600, -20, 0, 20, 500])
+def test_compaction_unchanged_by_power_of_two_scaling(dct8, k):
+    # 2**k scales every coefficient exactly, so the fraction is bit for bit
+    # the same, also where the plain energy of the scaled block overflows
+    # (k = 500) or underflows (k = -600)
+    block = np.random.default_rng(41).uniform(-1024, 1023, (8, 8))
+    for keep in (1, 8, 63):
+        retained, mse = compaction_report(dct8, block, keep)
+        scaled_retained, scaled_mse = compaction_report(dct8, np.ldexp(block, k), keep)
+        assert scaled_retained == retained
+        assert scaled_mse == np.ldexp(mse, 2 * k)
+
+
 def test_stack_matches_per_block_results(dct8):
     blocks = np.random.default_rng(36).uniform(-1024, 1023, (3, 8, 8))
     coeffs = forward_2d(dct8, blocks)
