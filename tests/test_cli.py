@@ -195,6 +195,19 @@ def test_generate_dct_beyond_16_passes_the_guard(capsys, size):
     assert err == ""
 
 
+def test_soft_cap_warning_and_override(capsys, monkeypatch):
+    # The former soft cap warned at m = 17 unless ORTHOGEN_MAX_M raised it;
+    # the warning is gone and the variable no longer changes the output
+    status, out, err = run(capsys, "generate", "--preset", "dct", "--size", "34", "--format", "csv")
+    assert status == 0
+    assert err == ""
+    monkeypatch.setenv("ORTHOGEN_MAX_M", "4")
+    status, capped, err = run(capsys, "generate", "--preset", "dct", "--size", "34", "--format", "csv")
+    assert status == 0
+    assert err == ""
+    assert capped == out
+
+
 def test_generate_near_duplicate_warning(capsys):
     status, out, err = run(capsys, "generate", "--values", "1,1.000000001,2", "--format", "csv")
     assert status == 0
