@@ -5,7 +5,8 @@ monic polynomials containing only even (respectively odd) powers, chosen so
 that same-parity polynomials are orthogonal over the sample points, and
 assembles a 2m x 2m orthonormal matrix sampled at +/-y_k. Each induction
 step solves one small dense system per parity for the unknown trailing
-coefficients of the next polynomial.
+coefficients of the next polynomial; the two are independent and are solved
+as one stack.
 
 Matrix layout: column j < m holds the samples at -y_j (input order) and
 column m + j holds the samples at +y_{m-1-j}, so the sample sequence runs
@@ -147,7 +148,9 @@ def _canonical(values: Sequence[float]) -> tuple:
     """``(values, order, unit, rows, coefs)``: the validated values, their
     ascending order and maximum, and per degree g < 2m the monic polynomial's
     evaluations at ``values[order] / unit`` (row g) and trailing coefficients.
-    All but the solve runs in ``np.longdouble`` (64-bit significand on x86-64)."""
+    The degrees 2t and 2t+1 have independent systems of the same size t, so
+    they are solved as one stack of two. All but the solve runs in
+    ``np.longdouble`` (64-bit significand on x86-64)."""
     raw, order = _validated(values)
     unit = raw[order[-1]]
     y = (raw[order] / unit).astype(np.longdouble)
@@ -155,19 +158,22 @@ def _canonical(values: Sequence[float]) -> tuple:
     powers = y ** np.arange(2 * m)[:, None]
     rows = powers.copy()  # rows 0 and 1 are already the monic 1 and y
     coefs = [np.empty(0), np.empty(0)]
-    for g in range(2, 2 * m):
-        prior = rows[g % 2 : g : 2]
-        coeffs = linsolve.solve(*_system(prior, powers, g))
-        # The lower same-parity monomials span the same space as the prior
-        # evaluations, so any error in the solved coefficients lives inside
-        # that span; projecting it out (twice, the usual reorthogonalization
-        # safeguard) leaves only the rounding of the evaluation and projections.
-        v = powers[g] + coeffs @ powers[g - 2 :: -2]
-        energy = np.einsum("ij,ij->i", prior, prior)
-        for _ in range(2):
-            v = v - ((prior @ v) / energy) @ prior
-        rows[g] = v
-        coefs.append(coeffs)
+    for t in range(1, m):
+        pair = (2 * t, 2 * t + 1)
+        priors = [rows[g % 2 : g : 2] for g in pair]
+        systems = [_system(prior, powers, g) for prior, g in zip(priors, pair)]
+        solved = linsolve.solve([s.matrix for s in systems], [s.rhs for s in systems])
+        for g, prior, coeffs in zip(pair, priors, solved):
+            # The lower same-parity monomials span the same space as the prior
+            # evaluations, so any error in the solved coefficients lives inside
+            # that span; projecting it out (twice, the usual reorthogonalization
+            # safeguard) leaves only the rounding of the evaluation and projections.
+            v = powers[g] + coeffs @ powers[g - 2 :: -2]
+            energy = np.einsum("ij,ij->i", prior, prior)
+            for _ in range(2):
+                v = v - ((prior @ v) / energy) @ prior
+            rows[g] = v
+            coefs.append(coeffs)
     return raw, order, unit, rows.astype(float), coefs
 
 

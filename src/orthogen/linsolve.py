@@ -2,10 +2,14 @@
 
 ``solve`` runs Gaussian elimination with partial pivoting, sized for the tiny
 systems the induction produces (t <= m-1 unknowns), and refuses a pivot too
-small to trust. It equilibrates each system with power-of-two row/column
-scales first; that is exact in binary64 and makes the pivot threshold respond
-to genuine rank deficiency instead of the heavy grading the moment systems
-carry. ``determinant`` is NumPy's LU determinant. Inputs are never mutated.
+small to trust. It takes one system or a ``(k, t, t)`` stack of them and
+eliminates the whole stack in one loop over the columns; every system gets
+exactly the arithmetic it would get alone. It equilibrates each system with
+power-of-two row/column scales first, applied as exponents with ``ldexp`` so
+that no scale overflows; that is exact in binary64 and makes the pivot
+threshold respond to genuine rank deficiency instead of the heavy grading the
+moment systems carry. ``determinant`` is NumPy's LU determinant. Inputs are
+never mutated.
 """
 
 from __future__ import annotations
@@ -18,63 +22,92 @@ from .errors import SingularSystemError
 PIVOT_RTOL = 1e-12
 
 
-def _checked_square(a) -> np.ndarray:
+def _checked_square(a, stack: bool = False) -> np.ndarray:
     a = np.array(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+    if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-1] != a.shape[-2] or a.size == 0:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
 
 
+def _pow2_exponents(maxima: np.ndarray) -> np.ndarray:
+    # Exponent e with max / 2**e in [0.5, 1); 0 for zero maxima.
+    return np.frexp(maxima)[1]
+
+
 def _pow2_scales(maxima: np.ndarray) -> np.ndarray:
-    # Exact power-of-two factor with max/scale in [0.5, 1); 1.0 for zero rows.
-    return np.ldexp(1.0, np.frexp(maxima)[1])
+    # The factors 2**e that the exponents stand for; they overflow for
+    # maxima of 2**1023 and above, which is why solve applies the exponents.
+    return np.ldexp(1.0, _pow2_exponents(maxima))
 
 
 def solve(a, rhs) -> np.ndarray:
-    """Solve ``a @ x = rhs`` for a square ``a``.
+    """Solve ``a @ x = rhs`` for a square ``a``, or for each system of a stack.
 
-    Raises :class:`SingularSystemError` when any pivot of the equilibrated
-    matrix falls below ``PIVOT_RTOL`` times its largest initial entry
-    magnitude; for the induction systems that signals duplicate or otherwise
-    degenerate generator values.
+    ``a`` is ``(t, t)`` with t ``rhs`` entries, or a ``(k, t, t)`` stack with
+    a ``(k, t)`` ``rhs``; the result is ``(t,)`` or ``(k, t)``. Each system of
+    a stack gets the same equilibration, pivots and roundings as when solved
+    alone, so the results agree bit for bit.
+
+    Raises :class:`SingularSystemError` when a matrix has a zero column or any
+    pivot of the equilibrated matrix falls below ``PIVOT_RTOL`` times its
+    largest initial entry magnitude; for the induction systems that signals
+    duplicate or otherwise degenerate generator values. A stack raises the
+    error of its first failing system, as that system alone would.
     """
-    a = _checked_square(a)
-    b = np.array(rhs, dtype=float).reshape(-1)
-    n = a.shape[0]
-    if b.shape[0] != n:
-        raise ValueError(f"right-hand side length {b.shape[0]} does not match size {n}")
+    a = _checked_square(a, stack=True)
+    b = np.array(rhs, dtype=float)
+    single = a.ndim == 2
+    if single:
+        a, b = a[None], b.reshape(1, -1)
+    if b.shape != a.shape[:2]:
+        raise ValueError(
+            f"right-hand side of shape {np.shape(rhs)} does not match matrix shape {a.shape[single:]}"
+        )
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side entries must be finite")
+    k, n = a.shape[:2]
 
-    col_maxima = np.abs(a).max(axis=0)
-    if (col_maxima == 0.0).any():
-        raise SingularSystemError("zero column: matrix is singular")
-    col_scale = _pow2_scales(col_maxima)
-    a /= col_scale[None, :]
-    row_scale = _pow2_scales(np.abs(a).max(axis=1))
-    a /= row_scale[:, None]
-    b = b / row_scale
+    col_maxima = np.abs(a).max(axis=1)
+    col_exp = _pow2_exponents(col_maxima)
+    a = np.ldexp(a, -col_exp[:, None, :])
+    row_exp = _pow2_exponents(np.abs(a).max(axis=2))
+    # The right-hand side rides along as the last column.
+    aug = np.ldexp(np.concatenate([a, b[:, :, None]], axis=2), -row_exp[:, :, None])
+    floor = PIVOT_RTOL * np.abs(aug[:, :, :n]).max(axis=(1, 2))
 
-    floor = PIVOT_RTOL * np.abs(a).max()
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) < floor or a[p, k] == 0.0:
-            raise SingularSystemError(
-                f"pivot {a[p, k]:.3e} in column {k} below threshold {floor:.3e}"
-            )
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        factors = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k + 1 :] -= np.outer(factors, a[k, k + 1 :])
-        b[k + 1 :] -= factors * b[k]
+    systems = np.arange(k)
+    # A failing system runs on into zero pivots and NaN; it is refused after
+    # the loop by its first bad pivot, which it meets as it would alone.
+    with np.errstate(invalid="ignore"):
+        for j in range(n):
+            p = j + np.abs(aug[:, j:, j]).argmax(axis=1)
+            pivot_rows = aug[systems, p]
+            aug[systems, p] = aug[:, j]
+            aug[:, j] = pivot_rows
+            factors = aug[:, j + 1 :, j] / pivot_rows[:, j, None]
+            aug[:, j + 1 :, j + 1 :] -= factors[:, :, None] * pivot_rows[:, None, j + 1 :]
+        pivots = np.diagonal(aug, axis1=1, axis2=2)
+        bad = (np.abs(pivots) < floor[:, None]) | (pivots == 0.0)
+    zero_column = (col_maxima == 0.0).any(axis=1)
+    failed = zero_column | bad.any(axis=1)
+    if failed.any():
+        i = int(failed.argmax())
+        if zero_column[i]:
+            raise SingularSystemError("zero column: matrix is singular")
+        j = int(bad[i].argmax())
+        raise SingularSystemError(
+            f"pivot {pivots[i, j]:.3e} in column {j} below threshold {floor[i]:.3e}"
+        )
 
-    x = np.empty(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - np.dot(a[k, k + 1 :], x[k + 1 :])) / a[k, k]
-    return x / col_scale
+    x = np.empty((k, n))
+    for i in range(k):
+        u, xi = aug[i], x[i]
+        for j in range(n - 1, -1, -1):
+            xi[j] = (u[j, n] - np.dot(u[j, j + 1 : n], xi[j + 1 :])) / u[j, j]
+    x = np.ldexp(x, -col_exp)
+    return x[0] if single else x
 
 
 def determinant(a) -> float:

@@ -16,31 +16,39 @@ from .core import OrthoMatrix
 from .errors import SizeMismatchError
 
 
-def _operands(matrix, block, stack: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The matrix entries and the block as floats; the block must be n x n
-    (or, with ``stack``, a ``(..., n, n)`` stack of blocks) and finite."""
+def _transform(matrix, block, stack: bool, inverse: bool = False) -> np.ndarray:
+    """``M @ X @ M.T`` (or ``M.T @ X @ M`` with ``inverse``) for a block that
+    is n x n (or, with ``stack``, a ``(..., n, n)`` stack of blocks) and finite.
+    Raises ``ValueError`` when a coefficient overflows the double range."""
     m = matrix.entries if isinstance(matrix, OrthoMatrix) else np.asarray(matrix, dtype=float)
     x = np.asarray(block, dtype=float)
     n = m.shape[0]
     if x.shape[-2:] != (n, n) or not (stack or x.ndim == 2):
         raise SizeMismatchError(f"block shape {x.shape} does not match transform size {n}")
-    # A finite sum of squares rules out NaN and +/-inf in one reduction; it
-    # overflows for huge finite samples, so only then scan elementwise.
-    if not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
+    left, right = (m.T, m) if inverse else (m, m.T)
+    # A finite sum of squares rules out NaN and +/-inf in one reduction and,
+    # M being orthonormal, bounds every coefficient by the block's norm. It
+    # overflows for huge finite samples; only then scan them elementwise and
+    # check the result.
+    if math.isfinite(np.vdot(x, x)):
+        return left @ x @ right
+    if not np.isfinite(x).all():
         raise ValueError("block samples must be finite")
-    return m, x
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = left @ x @ right
+    if not np.isfinite(result).all():
+        raise ValueError("block transform overflows: a coefficient is beyond the double range")
+    return result
 
 
 def forward_2d(matrix, block) -> np.ndarray:
     """Spatial block or stack -> frequency coefficients (energy preserving)."""
-    m, x = _operands(matrix, block, stack=True)
-    return m @ x @ m.T
+    return _transform(matrix, block, stack=True)
 
 
 def inverse_2d(matrix, block) -> np.ndarray:
     """Frequency coefficients (one block or a stack) -> spatial samples."""
-    m, y = _operands(matrix, block, stack=True)
-    return m.T @ y @ m
+    return _transform(matrix, block, stack=True, inverse=True)
 
 
 def compaction_report(matrix, block, keep: int) -> tuple[float, float]:
@@ -51,11 +59,10 @@ def compaction_report(matrix, block, keep: int) -> tuple[float, float]:
     dropped energy over n^2, which by Parseval's identity is the
     reconstruction error for an orthonormal matrix.
     """
-    m, x = _operands(matrix, block, stack=False)
-    n2 = x.size
+    energy = _transform(matrix, block, stack=False).ravel()
+    n2 = energy.size
     if not 1 <= keep <= n2:
         raise ValueError(f"keep must be in 1..{n2}, got {keep}")
-    energy = (m @ x @ m.T).ravel()
     # Squares of huge coefficients overflow, and those of tiny ones lose bits
     # to subnormals; for a sum of at least 2**-969 (2**53 times the smallest
     # normal) that loss is below the sum's rounding. Otherwise rescale by a

@@ -391,6 +391,18 @@ def test_transform_constant_block_dc(tmp_path, capsys):
     assert np.abs(coeffs).max() <= 1e-6
 
 
+def test_transform_of_an_overflowing_block_exit_2(tmp_path, capsys):
+    block = tmp_path / "huge.csv"
+    _write_block_csv(block, np.full((8, 8), 1e308))
+    for extra in ((), ("--keep", "4")):
+        status, out, err = run(
+            capsys, "transform", "--preset", "dct", "--size", "8", "--block", str(block), *extra
+        )
+        assert status == 2
+        assert out == ""
+        assert "overflows" in err
+
+
 def test_transform_matrix_file_source(tmp_path, capsys):
     matrix_path = tmp_path / "m.csv"
     status, _, _ = run(

@@ -407,3 +407,58 @@ def test_determinant_recurrence():
 def test_assemble_propagates_validation_errors():
     with pytest.raises(DegenerateValuesError):
         assemble_matrix([2.0, 2.0])
+
+
+def _sequential_canonical(values):
+    # The induction before the even and odd systems of each degree pair were
+    # stacked into one solve: every system solved alone through 2-D solve.
+    raw, order = core._validated(values)
+    unit = raw[order[-1]]
+    y = (raw[order] / unit).astype(np.longdouble)
+    m = y.size
+    powers = y ** np.arange(2 * m)[:, None]
+    rows = powers.copy()
+    coefs = [np.empty(0), np.empty(0)]
+    for g in range(2, 2 * m):
+        prior = rows[g % 2 : g : 2]
+        coeffs = solve(*core._system(prior, powers, g))
+        v = powers[g] + coeffs @ powers[g - 2 :: -2]
+        energy = np.einsum("ij,ij->i", prior, prior)
+        for _ in range(2):
+            v = v - ((prior @ v) / energy) @ prior
+        rows[g] = v
+        coefs.append(coeffs)
+    return raw, order, unit, rows.astype(float), coefs
+
+
+def _outputs(values):
+    """Every bit assemble_matrix and induct_basis publish, or their errors."""
+    found = []
+    for build in (assemble_matrix, induct_basis):
+        try:
+            result = build(values)
+        except ArithmeticError as exc:
+            found.append((type(exc), str(exc)))
+            continue
+        if build is assemble_matrix:
+            arrays = [result.entries, result.norm_scales]
+        else:
+            arrays = result.even_evals + result.odd_evals + result.even_coefs + result.odd_coefs
+        found.append([a.tobytes() for a in arrays])
+    return found
+
+
+def _bit_identity_sets(kind):
+    if kind != "random":
+        return [preset_values(kind, n) for n in range(2, 65, 2)]
+    rng = np.random.default_rng(77)
+    return [random_values(rng, int(rng.integers(1, 33))) for _ in range(50)]
+
+
+@pytest.mark.parametrize("kind", ["dct", "dtt", "triangular", "prime", "fibonacci", "random"])
+def test_stacked_solves_match_the_sequential_induction_bit_for_bit(kind, monkeypatch):
+    value_sets = _bit_identity_sets(kind)
+    stacked = [_outputs(values) for values in value_sets]
+    monkeypatch.setattr(core, "_canonical", _sequential_canonical)
+    for values, got in zip(value_sets, stacked):
+        assert got == _outputs(values), values

@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from conftest import random_values
 from orthogen import linsolve
+from orthogen.core import build_even_system, build_odd_system, induct_basis
 from orthogen.errors import SingularSystemError
 from orthogen.linsolve import determinant, solve
 
@@ -96,3 +99,93 @@ def test_pow2_scales_match_the_frexp_loop():
     maxima = np.array([0.0, 5e-324, 2.2e-308, 0.5, 1.0, 3.0, 1e300, np.finfo(float).max / 2])
     want = [2.0 ** math.frexp(v)[1] if v > 0.0 else 1.0 for v in maxima]
     np.testing.assert_array_equal(linsolve._pow2_scales(maxima), want)
+
+
+def test_solve_of_a_huge_entry_does_not_overflow():
+    # 2**1024, the equilibration factor of 1.7e308, is beyond the double
+    # range; applying the exponent instead gives the exact quotient
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solve([[1.7e308]], [1.0])[0] == 1.0 / 1.7e308
+
+
+def _graded_systems(rng, k, t):
+    # Random systems with rows and columns graded over many decades, as the
+    # moment systems are
+    a = rng.uniform(-1.0, 1.0, (k, t, t)) + t * np.eye(t)
+    a *= 10.0 ** rng.uniform(-30.0, 30.0, (k, t, 1)) * 10.0 ** rng.uniform(-30.0, 30.0, (k, 1, t))
+    return a, rng.uniform(-10.0, 10.0, (k, t))
+
+
+def _moment_systems(rng, t):
+    # The even and odd systems of one induction step for a random value set
+    basis = induct_basis(random_values(rng, int(rng.integers(t + 1, 12))))
+    systems = [build_even_system(basis, t), build_odd_system(basis, t)]
+    return np.array([s.matrix for s in systems]), np.array([s.rhs for s in systems])
+
+
+def test_stack_matches_systems_solved_alone_bit_for_bit():
+    rng = np.random.default_rng(19)
+    stacks = [_graded_systems(rng, int(rng.integers(1, 5)), int(rng.integers(1, 12))) for _ in range(60)]
+    stacks += [_moment_systems(rng, int(rng.integers(1, 8))) for _ in range(60)]
+    for a, rhs in stacks:
+        x = solve(a, rhs)
+        assert x.shape == rhs.shape
+        np.testing.assert_array_equal(x, [solve(ai, bi) for ai, bi in zip(a, rhs)])
+
+
+def _error(a, rhs):
+    with pytest.raises(SingularSystemError) as info:
+        solve(a, rhs)
+    return str(info.value)
+
+
+# Fails at column 2 and column 1, respectively; one with a zero column
+FAILS_LATE = [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]
+FAILS_EARLY = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+ZERO_COLUMN = [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [2.0, 0.0, 1.0]]
+REGULAR = [[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]]
+
+
+@pytest.mark.parametrize(
+    "stack, first_failing",
+    [
+        ([FAILS_LATE, FAILS_EARLY], FAILS_LATE),
+        ([FAILS_EARLY, FAILS_LATE], FAILS_EARLY),
+        ([REGULAR, ZERO_COLUMN], ZERO_COLUMN),
+        ([FAILS_LATE, ZERO_COLUMN], FAILS_LATE),
+        ([ZERO_COLUMN, FAILS_EARLY], ZERO_COLUMN),
+        ([REGULAR, REGULAR, FAILS_EARLY], FAILS_EARLY),
+    ],
+)
+def test_stack_raises_the_error_of_its_first_failing_system(stack, first_failing):
+    rhs = np.ones((len(stack), 3))
+    assert _error(stack, rhs) == _error(first_failing, rhs[0])
+
+
+def test_stack_error_messages_name_the_failure():
+    rhs = np.ones((2, 3))
+    assert _error([FAILS_LATE, FAILS_EARLY], rhs).startswith("pivot 0.000e+00 in column 2 ")
+    assert _error([REGULAR, ZERO_COLUMN], rhs) == "zero column: matrix is singular"
+
+
+def test_two_dimensional_input_gives_a_single_solution():
+    a = np.array(REGULAR)
+    x = solve(a, [1.0, 2.0, 3.0])
+    assert x.shape == (3,)
+    np.testing.assert_array_equal(x, solve(a[None], [[1.0, 2.0, 3.0]])[0])
+    # as before, any rhs with t entries is read as one vector
+    np.testing.assert_array_equal(solve(a, [[1.0], [2.0], [3.0]]), x)
+    np.testing.assert_allclose(a @ x, [1.0, 2.0, 3.0], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("rhs_shape", [(3,), (2, 2), (3, 3), (2, 3, 1), (1, 3)])
+def test_stack_rhs_of_another_shape_rejected(rhs_shape):
+    with pytest.raises(ValueError, match="right-hand side"):
+        solve(np.stack([REGULAR, REGULAR]), np.ones(rhs_shape))
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 2), (0, 3, 3), (2, 0, 0), (2, 2, 2, 2)])
+def test_stack_of_non_square_or_empty_matrices_rejected(shape):
+    with pytest.raises(ValueError, match="square"):
+        solve(np.ones(shape), np.ones(shape[:2]))

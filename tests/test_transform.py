@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,29 @@ def test_huge_finite_block_accepted(dct8):
     coeffs = forward_2d(dct8, block)
     assert coeffs[0, 0] == pytest.approx(8e200)
     np.testing.assert_allclose(inverse_2d(dct8, coeffs), block)
+
+
+def test_block_whose_transform_overflows_rejected_everywhere(dct8):
+    # Finite samples, but the DC coefficient 8e308 is beyond the double range
+    block = np.full((8, 8), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (forward_2d, inverse_2d):
+            with pytest.raises(ValueError, match="overflows"):
+                call(dct8, block)
+            with pytest.raises(ValueError, match="overflows"):
+                call(dct8, np.stack([np.ones((8, 8)), block]))
+        with pytest.raises(ValueError, match="overflows"):
+            compaction_report(dct8, block, keep=4)
+
+
+def test_single_huge_sample_transforms_and_round_trips(dct8):
+    # Its square overflows, but every coefficient is within the double range
+    block = np.zeros((8, 8))
+    block[3, 5] = 1e308
+    coeffs = forward_2d(dct8, block)
+    np.testing.assert_allclose(inverse_2d(dct8, coeffs), block, rtol=0, atol=1e308 * 1e-15)
+    assert compaction_report(dct8, block, keep=64) == (1.0, 0.0)
 
 
 def test_compaction_of_a_block_whose_energy_overflows(dct8):
