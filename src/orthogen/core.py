@@ -6,7 +6,11 @@ that same-parity polynomials are orthogonal over the sample points, and
 assembles a 2m x 2m orthonormal matrix sampled at +/-y_k. Each induction
 step solves one small dense system per parity for the unknown trailing
 coefficients of the next polynomial; the two are independent and are solved
-as one stack.
+as one stack. The samples of the next polynomial come from the previous
+one: on the mirrored points the monic orthogonal polynomials obey the
+three-term recurrence p_g = x p_{g-1} - b p_{g-2}, so y times the previous
+row is monic of degree g, and projecting the lower same-parity rows out of
+it leaves p_g. All of it runs in double.
 
 Matrix layout: column j < m holds the samples at -y_j (input order) and
 column m + j holds the samples at +y_{m-1-j}, so the sample sequence runs
@@ -126,22 +130,24 @@ def _system(prior: np.ndarray, powers: np.ndarray, g: int) -> EquationSystem:
     return EquationSystem(prior @ powers[g - 2 :: -2].T, -(prior @ powers[g]))
 
 
+def _basis_system(basis: ReducedBasis, evals: list[np.ndarray], t: int, g: int) -> EquationSystem:
+    # The degree-g system of one family, on the basis's own values.
+    if not 1 <= t <= basis.m - 1:
+        raise ValueError(f"degree index t={t} outside 1..{basis.m - 1}")
+    powers = basis.values ** np.arange(g + 1)[:, None]
+    return _system(np.asarray(evals[:t]), powers, g)
+
+
 def build_even_system(basis: ReducedBasis, t: int) -> EquationSystem:
     """System whose solution gives the trailing coefficients of the degree-2t
     even polynomial: matrix[i][p-1] = sum_k even_evals[i][k] * y_k^(2(t-p)),
     rhs[i] = -sum_k even_evals[i][k] * y_k^(2t)."""
-    if not 1 <= t <= basis.m - 1:
-        raise ValueError(f"degree index t={t} outside 1..{basis.m - 1}")
-    powers = basis.values ** np.arange(2 * t + 1)[:, None]
-    return _system(np.asarray(basis.even_evals[:t]), powers, 2 * t)
+    return _basis_system(basis, basis.even_evals, t, 2 * t)
 
 
 def build_odd_system(basis: ReducedBasis, t: int) -> EquationSystem:
     """Odd-family counterpart of :func:`build_even_system` (degree 2t+1)."""
-    if not 1 <= t <= basis.m - 1:
-        raise ValueError(f"degree index t={t} outside 1..{basis.m - 1}")
-    powers = basis.values ** np.arange(2 * t + 2)[:, None]
-    return _system(np.asarray(basis.odd_evals[:t]), powers, 2 * t + 1)
+    return _basis_system(basis, basis.odd_evals, t, 2 * t + 1)
 
 
 def _canonical(values: Sequence[float]) -> tuple:
@@ -149,11 +155,13 @@ def _canonical(values: Sequence[float]) -> tuple:
     ascending order and maximum, and per degree g < 2m the monic polynomial's
     evaluations at ``values[order] / unit`` (row g) and trailing coefficients.
     The degrees 2t and 2t+1 have independent systems of the same size t, so
-    they are solved as one stack of two. All but the solve runs in
-    ``np.longdouble`` (64-bit significand on x86-64)."""
+    they are solved as one stack of two. Row g starts as ``y * rows[g-1]``,
+    monic of degree g; by the three-term recurrence it differs from p_g only
+    by a multiple of row g-2, which the projections remove. Re-expanding the
+    solved coefficients over the monomials instead cancels badly."""
     raw, order = _validated(values)
     unit = raw[order[-1]]
-    y = (raw[order] / unit).astype(np.longdouble)
+    y = raw[order] / unit
     m = y.size
     powers = y ** np.arange(2 * m)[:, None]
     rows = powers.copy()  # rows 0 and 1 are already the monic 1 and y
@@ -164,17 +172,15 @@ def _canonical(values: Sequence[float]) -> tuple:
         systems = [_system(prior, powers, g) for prior, g in zip(priors, pair)]
         solved = linsolve.solve([s.matrix for s in systems], [s.rhs for s in systems])
         for g, prior, coeffs in zip(pair, priors, solved):
-            # The lower same-parity monomials span the same space as the prior
-            # evaluations, so any error in the solved coefficients lives inside
-            # that span; projecting it out (twice, the usual reorthogonalization
-            # safeguard) leaves only the rounding of the evaluation and projections.
-            v = powers[g] + coeffs @ powers[g - 2 :: -2]
+            # Project the prior evaluations out of the three-term start, twice
+            # (the usual reorthogonalization safeguard).
+            v = y * rows[g - 1]
             energy = np.einsum("ij,ij->i", prior, prior)
             for _ in range(2):
                 v = v - ((prior @ v) / energy) @ prior
             rows[g] = v
             coefs.append(coeffs)
-    return raw, order, unit, rows.astype(float), coefs
+    return raw, order, unit, rows, coefs
 
 
 def _in_value_units(x: np.ndarray, unit: float, k: np.ndarray) -> np.ndarray:

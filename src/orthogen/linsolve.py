@@ -36,12 +36,6 @@ def _pow2_exponents(maxima: np.ndarray) -> np.ndarray:
     return np.frexp(maxima)[1]
 
 
-def _pow2_scales(maxima: np.ndarray) -> np.ndarray:
-    # The factors 2**e that the exponents stand for; they overflow for
-    # maxima of 2**1023 and above, which is why solve applies the exponents.
-    return np.ldexp(1.0, _pow2_exponents(maxima))
-
-
 def solve(a, rhs) -> np.ndarray:
     """Solve ``a @ x = rhs`` for a square ``a``, or for each system of a stack.
 
@@ -101,11 +95,11 @@ def solve(a, rhs) -> np.ndarray:
             f"pivot {pivots[i, j]:.3e} in column {j} below threshold {floor[i]:.3e}"
         )
 
+    # Stacked matmul rounds each dot exactly as ``np.dot`` of the two rows does.
     x = np.empty((k, n))
-    for i in range(k):
-        u, xi = aug[i], x[i]
-        for j in range(n - 1, -1, -1):
-            xi[j] = (u[j, n] - np.dot(u[j, j + 1 : n], xi[j + 1 :])) / u[j, j]
+    for j in range(n - 1, -1, -1):
+        dots = (aug[:, j, None, j + 1 : n] @ x[:, j + 1 :, None])[:, 0, 0]
+        x[:, j] = (aug[:, j, n] - dots) / aug[:, j, j]
     x = np.ldexp(x, -col_exp)
     return x[0] if single else x
 

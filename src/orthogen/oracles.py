@@ -54,17 +54,16 @@ def gram_schmidt_matrix(values: Sequence[float]) -> np.ndarray:
     return np.vstack(rows)
 
 
-def exact_matrix(values: Sequence[float]) -> np.ndarray:
-    """The matrix the values define, computed in exact rationals and rounded once.
+def exact_family(values: Sequence[float]) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """The monic orthogonal polynomials p_k at the mirrored points and their
+    squared norms |p_k|^2, in exact rationals.
 
-    On the mirrored points x (same column layout as the generator) the monic
-    orthogonal polynomials obey the three-term recurrence
+    On the mirrored points x (same column layout as the generator) they obey
+    the three-term recurrence
     p_{k+1} = x p_k - (|p_k|^2 / |p_{k-1}|^2) p_{k-1}, with no constant term
-    because the points are symmetric about zero. Row k is p_k / |p_k| at the
-    points, formed as sign(p) * sqrt(p^2 / |p_k|^2) so that only the final
-    conversion and square root round. Each value is taken exactly as its
-    binary64 number. The rationals grow quickly with n: n <= 16 takes well
-    under a second.
+    because the points are symmetric about zero. Each value is taken exactly
+    as its binary64 number. The rationals grow quickly with n: n <= 16 takes
+    well under a second.
     """
     vals = [Fraction(v) for v in np.asarray(values, dtype=float).tolist()]
     xs = [-v for v in vals] + vals[::-1]
@@ -75,6 +74,17 @@ def exact_matrix(values: Sequence[float]) -> np.ndarray:
         ratio = norms[-1] / norms[-2]
         rows.append([x * p - ratio * q for x, p, q in zip(xs, rows[-1], rows[-2])])
         norms.append(sum(p * p for p in rows[-1]))
+    return rows, norms
+
+
+def exact_matrix(values: Sequence[float]) -> np.ndarray:
+    """The matrix the values define, computed in exact rationals and rounded once.
+
+    Row k is p_k / |p_k| at the points (see :func:`exact_family`), formed as
+    sign(p) * sqrt(p^2 / |p_k|^2) so that only the final conversion and
+    square root round.
+    """
+    rows, norms = exact_family(values)
     return np.array(
         [[math.copysign(math.sqrt(p * p / norm), p) for p in row] for row, norm in zip(rows, norms)]
     )

@@ -356,15 +356,32 @@ def test_fidelity_residual_separates_right_from_orthonormal():
     assert np.isnan(fidelity(broken, values)).all()
 
 
-def test_assemble_refuses_a_wrong_matrix():
-    # m = 16 Fibonacci values: the moment systems lose the higher rows
+def test_assemble_refuses_a_wrong_matrix(monkeypatch):
+    # Rotating rows 1 and 3 by 1e-3 rad within their plane keeps M
+    # orthonormal but makes it wrong: row 3 now couples to row 0 in J.
+    canonical = core._canonical
+
+    def rotated(values):
+        raw, order, unit, rows, coefs = canonical(values)
+        norms = np.linalg.norm(rows[[1, 3]], axis=1)
+        one, three = rows[[1, 3]] / norms[:, None]
+        c, s = np.cos(1e-3), np.sin(1e-3)
+        rows[1], rows[3] = norms[0] * (c * one - s * three), norms[1] * (s * one + c * three)
+        return raw, order, unit, rows, coefs
+
+    monkeypatch.setattr(core, "_canonical", rotated)
     with pytest.raises(FidelityError) as info:
-        assemble_matrix(preset_values("fibonacci", 32))
+        assemble_matrix(preset_values("dct", 8))
     assert isinstance(info.value, ArithmeticError)
-    found = re.search(r"estimated entry error (\S+) \(fidelity residual (\S+)\)", str(info.value))
+    found = re.search(
+        r"estimated entry error (\S+) \(fidelity residual (\S+)\), orthonormality residual (\S+),",
+        str(info.value),
+    )
     assert found is not None
-    assert float(found.group(1)) > FIDELITY_TOL
-    assert float(found.group(2)) > 0.0
+    estimate, residual, ortho = map(float, found.groups())
+    assert estimate > FIDELITY_TOL
+    assert residual > 0.0
+    assert ortho <= 1e-14
 
 
 def test_assemble_refuses_a_non_orthonormal_matrix(monkeypatch):
@@ -410,11 +427,11 @@ def test_assemble_propagates_validation_errors():
 
 
 def _sequential_canonical(values):
-    # The induction before the even and odd systems of each degree pair were
-    # stacked into one solve: every system solved alone through 2-D solve.
+    # The induction with every system solved alone through 2-D solve, where
+    # _canonical stacks the even and odd systems of each degree pair.
     raw, order = core._validated(values)
     unit = raw[order[-1]]
-    y = (raw[order] / unit).astype(np.longdouble)
+    y = raw[order] / unit
     m = y.size
     powers = y ** np.arange(2 * m)[:, None]
     rows = powers.copy()
@@ -422,13 +439,13 @@ def _sequential_canonical(values):
     for g in range(2, 2 * m):
         prior = rows[g % 2 : g : 2]
         coeffs = solve(*core._system(prior, powers, g))
-        v = powers[g] + coeffs @ powers[g - 2 :: -2]
+        v = y * rows[g - 1]
         energy = np.einsum("ij,ij->i", prior, prior)
         for _ in range(2):
             v = v - ((prior @ v) / energy) @ prior
         rows[g] = v
         coefs.append(coeffs)
-    return raw, order, unit, rows.astype(float), coefs
+    return raw, order, unit, rows, coefs
 
 
 def _outputs(values):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,13 @@ from hypothesis import example, given
 from conftest import random_values, value_sets
 from orthogen.core import assemble_matrix, fidelity, induct_basis
 from orthogen.errors import DegenerateFamilyError, FidelityError, SingularSystemError
-from orthogen.oracles import dct_matrix, exact_matrix, gram_schmidt_matrix, small_case_coefficients
+from orthogen.oracles import (
+    dct_matrix,
+    exact_family,
+    exact_matrix,
+    gram_schmidt_matrix,
+    small_case_coefficients,
+)
 from orthogen.presets import PRESETS, preset_values
 from reference_matrices import DCT_8, DTT_4
 
@@ -124,10 +131,9 @@ def test_presets_match_exact_oracle(name):
 @example(np.linspace(0.5, 0.506, 7))
 @example(np.linspace(0.5, 0.507, 8))
 def test_matches_exact_oracle_or_reports_why(values):
-    # Well-spread sets agree within 1e-10. Tight clusters away from zero
-    # defeat the moment systems: seven values 1e-3 apart in [0.5, 0.506] come
-    # out 1.1e-9 off, and eight in [0.5, 0.507] are refused. What is returned
-    # is within the guard's error estimate.
+    # Well-spread sets agree within 1e-10, and so do tight clusters away
+    # from zero: seven values 1e-3 apart in [0.5, 0.506] and eight in
+    # [0.5, 0.507] come out within 3e-14. A set may still be refused.
     try:
         entries = assemble_matrix(values).entries
     except FidelityError:
@@ -164,3 +170,43 @@ def test_returned_matrices_above_16_match_their_reference(name, n):
         return
     reference = dct_matrix(n) if name == "dct" else exact_matrix(values)
     assert _sign_aligned_error(entries, reference) <= 5e-7
+
+
+# Presets above n = 16 that must come out right, not merely be refused when
+# wrong; dtt n = 48 is left out, as its exact rationals take about 30 s.
+_ACCURATE = [
+    ("dtt", 32),
+    ("dtt", 64),
+    ("triangular", 32),
+    ("triangular", 48),
+    ("triangular", 64),
+    ("prime", 32),
+    ("prime", 48),
+    ("prime", 64),
+    ("fibonacci", 32),
+    ("dct", 64),
+    ("dct", 128),
+    ("dct", 256),
+]
+
+
+@pytest.mark.parametrize("name, n", _ACCURATE)
+def test_matrices_above_16_agree_with_their_reference_to_1e_12(name, n):
+    values = preset_values(name, n)
+    entries = assemble_matrix(values).entries
+    if name == "dct":
+        reference = np.where(np.arange(n) % 2, -1.0, 1.0)[:, None] * dct_matrix(n)
+    else:
+        reference = exact_matrix(values)
+    assert np.abs(entries - reference).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name, n", [("fibonacci", 28), ("triangular", 48), ("prime", 60)])
+def test_norm_scales_match_the_exact_norms(name, n):
+    # The exact scale of row k is 1 / |p_k|, so c_k * |p_k| reads 1 to
+    # within c_k's relative error.
+    values = preset_values(name, n)
+    scales = assemble_matrix(values).norm_scales
+    _, norms = exact_family(values)
+    ratios = [math.sqrt(Fraction(c) ** 2 * norm) for c, norm in zip(scales.tolist(), norms)]
+    assert max(abs(r - 1.0) for r in ratios) <= 1e-10
