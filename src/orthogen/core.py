@@ -4,13 +4,16 @@ Given m distinct values y_0..y_{m-1} > 0, the generator builds a family of
 monic polynomials containing only even (respectively odd) powers, chosen so
 that same-parity polynomials are orthogonal over the sample points, and
 assembles a 2m x 2m orthonormal matrix sampled at +/-y_k. Each induction
-step solves one small dense system per parity for the unknown trailing
-coefficients of the next polynomial; the two are independent and are solved
-as one stack. The samples of the next polynomial come from the previous
-one: on the mirrored points the monic orthogonal polynomials obey the
-three-term recurrence p_g = x p_{g-1} - b p_{g-2}, so y times the previous
-row is monic of degree g, and projecting the lower same-parity rows out of
-it leaves p_g. All of it runs in double.
+step forms one small dense moment system per parity for the unknown
+trailing coefficients of the next polynomial; the two are independent and
+form one stack. Only :func:`induct_basis` solves them, for the coefficients
+it publishes; :func:`assemble_matrix` runs just the solve's pivot test on
+them (:func:`linsolve.check`), which is where its remaining refusals come
+from. The samples of the next polynomial come from the previous one: on the
+mirrored points the monic orthogonal polynomials obey the three-term
+recurrence p_g = x p_{g-1} - b p_{g-2}, so y times the previous row is monic
+of degree g, and projecting the lower same-parity rows out of it leaves p_g.
+All of it runs in double.
 
 Matrix layout: column j < m holds the samples at -y_j (input order) and
 column m + j holds the samples at +y_{m-1-j}, so the sample sequence runs
@@ -124,10 +127,14 @@ class OrthoMatrix:
     norm_scales: np.ndarray
 
 
-def _system(prior: np.ndarray, powers: np.ndarray, g: int) -> EquationSystem:
+def _moments(prior: np.ndarray, powers: np.ndarray, g: int) -> np.ndarray:
     # prior: the lower same-parity evaluations, one per row; powers[k] holds
     # values**k. The unknowns multiply powers g-2, g-4, ... down to g % 2.
-    return EquationSystem(prior @ powers[g - 2 :: -2].T, -(prior @ powers[g]))
+    return prior @ powers[g - 2 :: -2].T
+
+
+def _system(prior: np.ndarray, powers: np.ndarray, g: int) -> EquationSystem:
+    return EquationSystem(_moments(prior, powers, g), -(prior @ powers[g]))
 
 
 def _basis_system(basis: ReducedBasis, evals: list[np.ndarray], t: int, g: int) -> EquationSystem:
@@ -150,28 +157,34 @@ def build_odd_system(basis: ReducedBasis, t: int) -> EquationSystem:
     return _basis_system(basis, basis.odd_evals, t, 2 * t + 1)
 
 
-def _canonical(values: Sequence[float]) -> tuple:
+def _canonical(values: Sequence[float], coefficients: bool) -> tuple:
     """``(values, order, unit, rows, coefs)``: the validated values, their
     ascending order and maximum, and per degree g < 2m the monic polynomial's
-    evaluations at ``values[order] / unit`` (row g) and trailing coefficients.
-    The degrees 2t and 2t+1 have independent systems of the same size t, so
-    they are solved as one stack of two. Row g starts as ``y * rows[g-1]``,
-    monic of degree g; by the three-term recurrence it differs from p_g only
-    by a multiple of row g-2, which the projections remove. Re-expanding the
-    solved coefficients over the monomials instead cancels badly."""
+    evaluations at ``values[order] / unit`` (row g) and, if ``coefficients``,
+    its trailing coefficients (else ``coefs`` is None). The degrees 2t and
+    2t+1 have independent moment systems of the same size t, taken as one
+    stack of two: solved for the coefficients, or else only run through
+    :func:`linsolve.check`, the solve's pivot test, which refuses what the
+    solve refuses. Row g starts as ``y * rows[g-1]``, monic of degree g; by
+    the three-term recurrence it differs from p_g only by a multiple of row
+    g-2, which the projections remove. Re-expanding the solved coefficients
+    over the monomials instead cancels badly."""
     raw, order = _validated(values)
     unit = raw[order[-1]]
     y = raw[order] / unit
     m = y.size
     powers = y ** np.arange(2 * m)[:, None]
     rows = powers.copy()  # rows 0 and 1 are already the monic 1 and y
-    coefs = [np.empty(0), np.empty(0)]
+    coefs = [np.empty(0), np.empty(0)] if coefficients else None
     for t in range(1, m):
         pair = (2 * t, 2 * t + 1)
         priors = [rows[g % 2 : g : 2] for g in pair]
-        systems = [_system(prior, powers, g) for prior, g in zip(priors, pair)]
-        solved = linsolve.solve([s.matrix for s in systems], [s.rhs for s in systems])
-        for g, prior, coeffs in zip(pair, priors, solved):
+        if coefficients:
+            systems = [_system(prior, powers, g) for prior, g in zip(priors, pair)]
+            coefs.extend(linsolve.solve([s.matrix for s in systems], [s.rhs for s in systems]))
+        else:
+            linsolve.check([_moments(prior, powers, g) for prior, g in zip(priors, pair)])
+        for g, prior in zip(pair, priors):
             # Project the prior evaluations out of the three-term start, twice
             # (the usual reorthogonalization safeguard).
             v = y * rows[g - 1]
@@ -179,7 +192,6 @@ def _canonical(values: Sequence[float]) -> tuple:
             for _ in range(2):
                 v = v - ((prior @ v) / energy) @ prior
             rows[g] = v
-            coefs.append(coeffs)
     return raw, order, unit, rows, coefs
 
 
@@ -201,7 +213,7 @@ def induct_basis(values: Sequence[float]) -> ReducedBasis:
     power lies in (0, 1] and a permuted input permutes the results bit for
     bit; they are scattered back to input order and units afterwards.
     """
-    raw, order, unit, rows, coefs = _canonical(values)
+    raw, order, unit, rows, coefs = _canonical(values, coefficients=True)
     # Undo the rescaling: a degree-g evaluation picks up unit**g, the trailing
     # coefficient at power g-2p picks up unit**(2p).
     evals = np.empty_like(rows)
@@ -221,13 +233,18 @@ def normalize_row(evals) -> tuple[np.ndarray, np.ndarray]:
 
     ``evals`` is one half-row or a ``(..., m)`` stack of them. Returns
     ``(c, c * evals)`` with one positive ``c = (2 * sum(evals**2)) ** -0.5``
-    per row; the factor 2 accounts for the mirrored half of the row.
+    per row; the factor 2 accounts for the mirrored half of the row. Raises
+    :class:`ZeroRowError`, naming the first row (its flat index in the
+    stack), when a row's sum of squares is zero.
     """
     evals = np.asarray(evals, dtype=float)
     # Stacked matmul rounds each energy exactly as ``row @ row`` does.
     energy = (evals[..., None, :] @ evals[..., :, None])[..., 0, 0]
-    if (energy == 0.0).any():
-        raise ZeroRowError("cannot normalize an all-zero row")
+    zero = np.flatnonzero(energy == 0.0)
+    if zero.size:
+        raise ZeroRowError(
+            f"cannot normalize row {zero[0]}: its samples are all zero or too small to square in double"
+        )
     c = 1.0 / np.sqrt(2.0 * energy)
     return c, c[..., None] * evals
 
@@ -266,7 +283,7 @@ def assemble_matrix(values: Sequence[float]) -> OrthoMatrix:
     values' matrix up to row signs. Against exact references the estimate read
     1 to 30 times the true entry error, the residual up to 110 times too little.
     """
-    raw, order, unit, rows, _ = _canonical(values)
+    raw, order, unit, rows, _ = _canonical(values, coefficients=False)
     m = raw.size
     n = 2 * m
     half = np.empty((n, m))

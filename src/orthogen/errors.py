@@ -23,8 +23,10 @@ class DegenerateValuesError(ValueError):
 
 
 class ZeroRowError(ArithmeticError):
-    """Raised when a polynomial row evaluates to all zeros (defensive; cannot
-    occur for a valid value set)."""
+    """Raised when a row's sum of squares is zero, so it cannot be scaled to
+    unit length. A valid value set reaches it when its values span about 1e200
+    or more (``1e-200, 1e-100, 1`` or ``1e-300, 1``): the samples of a high
+    row underflow, or their squares do."""
 
 
 class SizeMismatchError(ValueError):

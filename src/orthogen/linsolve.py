@@ -4,7 +4,12 @@
 systems the induction produces (t <= m-1 unknowns), and refuses a pivot too
 small to trust. It takes one system or a ``(k, t, t)`` stack of them and
 eliminates the whole stack in one loop over the columns; every system gets
-exactly the arithmetic it would get alone. It equilibrates each system with
+exactly the arithmetic it would get alone. ``check`` runs the same
+elimination without a right-hand side or back substitution, so it raises
+what ``solve`` raises and computes nothing else: ``core.induct_basis``
+solves the moment systems for their coefficients, while
+``core.assemble_matrix`` needs only this pivot test, which is where its
+remaining refusals come from. Both equilibrate each system with
 power-of-two row/column scales first, applied as exponents with ``ldexp`` so
 that no scale overflows; that is exact in binary64 and makes the pivot
 threshold respond to genuine rank deficiency instead of the heavy grading the
@@ -36,39 +41,19 @@ def _pow2_exponents(maxima: np.ndarray) -> np.ndarray:
     return np.frexp(maxima)[1]
 
 
-def solve(a, rhs) -> np.ndarray:
-    """Solve ``a @ x = rhs`` for a square ``a``, or for each system of a stack.
-
-    ``a`` is ``(t, t)`` with t ``rhs`` entries, or a ``(k, t, t)`` stack with
-    a ``(k, t)`` ``rhs``; the result is ``(t,)`` or ``(k, t)``. Each system of
-    a stack gets the same equilibration, pivots and roundings as when solved
-    alone, so the results agree bit for bit.
-
-    Raises :class:`SingularSystemError` when a matrix has a zero column or any
-    pivot of the equilibrated matrix falls below ``PIVOT_RTOL`` times its
-    largest initial entry magnitude; for the induction systems that signals
-    duplicate or otherwise degenerate generator values. A stack raises the
-    error of its first failing system, as that system alone would.
-    """
-    a = _checked_square(a, stack=True)
-    b = np.array(rhs, dtype=float)
-    single = a.ndim == 2
-    if single:
-        a, b = a[None], b.reshape(1, -1)
-    if b.shape != a.shape[:2]:
-        raise ValueError(
-            f"right-hand side of shape {np.shape(rhs)} does not match matrix shape {a.shape[single:]}"
-        )
-    if not np.all(np.isfinite(b)):
-        raise ValueError("right-hand side entries must be finite")
+def _eliminate(a: np.ndarray, b: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Equilibrate and eliminate a validated ``(k, t, t)`` stack, with the
+    ``(k, t)`` right-hand side ``b`` riding along as the last column when
+    given, and raise the error of its first failing system. Returns the
+    eliminated stack and the column exponents that scale its unknowns."""
     k, n = a.shape[:2]
-
     col_maxima = np.abs(a).max(axis=1)
     col_exp = _pow2_exponents(col_maxima)
     a = np.ldexp(a, -col_exp[:, None, :])
     row_exp = _pow2_exponents(np.abs(a).max(axis=2))
-    # The right-hand side rides along as the last column.
-    aug = np.ldexp(np.concatenate([a, b[:, :, None]], axis=2), -row_exp[:, :, None])
+    if b is not None:
+        a = np.concatenate([a, b[:, :, None]], axis=2)
+    aug = np.ldexp(a, -row_exp[:, :, None])
     floor = PIVOT_RTOL * np.abs(aug[:, :, :n]).max(axis=(1, 2))
 
     systems = np.arange(k)
@@ -94,8 +79,49 @@ def solve(a, rhs) -> np.ndarray:
         raise SingularSystemError(
             f"pivot {pivots[i, j]:.3e} in column {j} below threshold {floor[i]:.3e}"
         )
+    return aug, col_exp
+
+
+def check(a) -> None:
+    """Run only the pivot test of :func:`solve` on ``a``, one ``(t, t)``
+    matrix or a ``(k, t, t)`` stack: the same equilibration and elimination,
+    with no right-hand side and no back substitution. Raises exactly the
+    :class:`SingularSystemError` or ``ValueError`` that ``solve(a, rhs)``
+    raises for any finite ``rhs`` of the right shape; returns nothing.
+    """
+    a = _checked_square(a, stack=True)
+    _eliminate(a[None] if a.ndim == 2 else a, None)
+
+
+def solve(a, rhs) -> np.ndarray:
+    """Solve ``a @ x = rhs`` for a square ``a``, or for each system of a stack.
+
+    ``a`` is ``(t, t)`` with t ``rhs`` entries, or a ``(k, t, t)`` stack with
+    a ``(k, t)`` ``rhs``; the result is ``(t,)`` or ``(k, t)``. Each system of
+    a stack gets the same equilibration, pivots and roundings as when solved
+    alone, so the results agree bit for bit.
+
+    Raises :class:`SingularSystemError` when a matrix has a zero column or any
+    pivot of the equilibrated matrix falls below ``PIVOT_RTOL`` times its
+    largest initial entry magnitude; for the induction systems that signals
+    duplicate or otherwise degenerate generator values. A stack raises the
+    error of its first failing system, as that system alone would.
+    """
+    a = _checked_square(a, stack=True)
+    b = np.array(rhs, dtype=float)
+    single = a.ndim == 2
+    if single:
+        a, b = a[None], b.reshape(1, -1)
+    if b.shape != a.shape[:2]:
+        raise ValueError(
+            f"right-hand side of shape {np.shape(rhs)} does not match matrix shape {a.shape[single:]}"
+        )
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side entries must be finite")
+    aug, col_exp = _eliminate(a, b)
 
     # Stacked matmul rounds each dot exactly as ``np.dot`` of the two rows does.
+    k, n = a.shape[:2]
     x = np.empty((k, n))
     for j in range(n - 1, -1, -1):
         dots = (aug[:, j, None, j + 1 : n] @ x[:, j + 1 :, None])[:, 0, 0]

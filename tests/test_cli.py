@@ -187,6 +187,15 @@ def test_generate_inaccurate_matrix_exit_3(capsys, preset, size):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("values, row", [("1e-200,1e-100,1", 4), ("1e-300,1", 3), ("5e-324,1", 3)])
+def test_generate_underflowing_row_exit_3(capsys, values, row):
+    # Values spanning about 1e200 leave a row whose squares underflow to zero
+    status, out, err = run(capsys, "generate", "--values", values)
+    assert status == 3
+    assert out == ""
+    assert err.startswith(f"error: cannot normalize row {row}:")
+
+
 @pytest.mark.parametrize("preset, size", [("fibonacci", 32), ("prime", 64)])
 def test_generate_matches_the_exact_oracle(capsys, preset, size):
     # JSON carries full precision, so the printed matrix can be held to the

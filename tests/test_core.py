@@ -138,8 +138,10 @@ def test_normalize_row_examples():
 
 
 def test_normalize_row_zero_raises():
-    with pytest.raises(ZeroRowError):
+    with pytest.raises(ZeroRowError, match="row 0:"):
         normalize_row([0.0, 0.0])
+    with pytest.raises(ZeroRowError, match="row 1:"):
+        normalize_row([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]])
 
 
 def test_validate_rejects_bad_values():
@@ -361,8 +363,8 @@ def test_assemble_refuses_a_wrong_matrix(monkeypatch):
     # orthonormal but makes it wrong: row 3 now couples to row 0 in J.
     canonical = core._canonical
 
-    def rotated(values):
-        raw, order, unit, rows, coefs = canonical(values)
+    def rotated(values, coefficients):
+        raw, order, unit, rows, coefs = canonical(values, coefficients)
         norms = np.linalg.norm(rows[[1, 3]], axis=1)
         one, three = rows[[1, 3]] / norms[:, None]
         c, s = np.cos(1e-3), np.sin(1e-3)
@@ -390,8 +392,8 @@ def test_assemble_refuses_a_non_orthonormal_matrix(monkeypatch):
     # the orthonormality residual does.
     canonical = core._canonical
 
-    def skewed(values):
-        raw, order, unit, rows, coefs = canonical(values)
+    def skewed(values, coefficients):
+        raw, order, unit, rows, coefs = canonical(values, coefficients)
         rows[2] += 1e-3 * rows[0]
         return raw, order, unit, rows, coefs
 
@@ -426,9 +428,12 @@ def test_assemble_propagates_validation_errors():
         assemble_matrix([2.0, 2.0])
 
 
-def _sequential_canonical(values):
+def _sequential_canonical(values, coefficients):
     # The induction with every system solved alone through 2-D solve, where
-    # _canonical stacks the even and odd systems of each degree pair.
+    # _canonical stacks the even and odd systems of each degree pair and,
+    # for assemble_matrix, runs only the pivot test. It solves every system
+    # whatever ``coefficients`` says, so the comparison pins that the
+    # pivot-only path refuses exactly what the full solve refuses.
     raw, order = core._validated(values)
     unit = raw[order[-1]]
     y = raw[order] / unit
@@ -449,13 +454,19 @@ def _sequential_canonical(values):
 
 
 def _outputs(values):
-    """Every bit assemble_matrix and induct_basis publish, or their errors."""
+    """Every bit assemble_matrix and induct_basis publish, or their errors,
+    and the warnings they draw."""
     found = []
     for build in (assemble_matrix, induct_basis):
-        try:
-            result = build(values)
-        except ArithmeticError as exc:
-            found.append((type(exc), str(exc)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ConditioningWarning)
+            try:
+                result = build(values)
+            except ArithmeticError as exc:
+                result = exc
+        found.append([str(w.message) for w in caught])
+        if isinstance(result, ArithmeticError):
+            found.append((type(result), str(result)))
             continue
         if build is assemble_matrix:
             arrays = [result.entries, result.norm_scales]
@@ -467,9 +478,10 @@ def _outputs(values):
 
 def _bit_identity_sets(kind):
     if kind != "random":
-        return [preset_values(kind, n) for n in range(2, 65, 2)]
+        return [preset_values(kind, n) for n in (*range(2, 65, 2), 128)]
     rng = np.random.default_rng(77)
-    return [random_values(rng, int(rng.integers(1, 33))) for _ in range(50)]
+    edge = [[1, 1.0000000000001, 1.0000000000002, 1.0000000000003], [1e-200, 1e-100, 1]]
+    return [random_values(rng, int(rng.integers(1, 33))) for _ in range(50)] + edge
 
 
 @pytest.mark.parametrize("kind", ["dct", "dtt", "triangular", "prime", "fibonacci", "random"])

@@ -8,7 +8,7 @@ from conftest import random_values
 from orthogen import linsolve
 from orthogen.core import build_even_system, build_odd_system, induct_basis
 from orthogen.errors import SingularSystemError
-from orthogen.linsolve import determinant, solve
+from orthogen.linsolve import check, determinant, solve
 
 
 @pytest.mark.parametrize(
@@ -77,6 +77,8 @@ def test_shape_and_finiteness_validation():
         solve([[1.0]], [1.0, 2.0])
     with pytest.raises(ValueError):
         solve([[np.nan]], [1.0])
+    with pytest.raises(ValueError, match="finite"):
+        check([[np.nan]])
     with pytest.raises(ValueError):
         solve([[1.0]], [np.inf])
     with pytest.raises(ValueError):
@@ -88,6 +90,7 @@ def test_inputs_not_mutated():
     rhs = np.array([1.0, 2.0])
     a_copy, rhs_copy = a.copy(), rhs.copy()
     solve(a, rhs)
+    check(a)
     determinant(a)
     np.testing.assert_array_equal(a, a_copy)
     np.testing.assert_array_equal(rhs, rhs_copy)
@@ -132,11 +135,17 @@ def test_stack_matches_systems_solved_alone_bit_for_bit():
         x = solve(a, rhs)
         assert x.shape == rhs.shape
         np.testing.assert_array_equal(x, [solve(ai, bi) for ai, bi in zip(a, rhs)])
+        assert check(a) is None
 
 
 def _error(a, rhs):
+    # The pivot-only check raises what the solve raises, word for word.
     with pytest.raises(SingularSystemError) as info:
         solve(a, rhs)
+    with pytest.raises(SingularSystemError) as checked:
+        check(a)
+    assert type(checked.value) is type(info.value)
+    assert str(checked.value) == str(info.value)
     return str(info.value)
 
 
@@ -189,3 +198,5 @@ def test_stack_rhs_of_another_shape_rejected(rhs_shape):
 def test_stack_of_non_square_or_empty_matrices_rejected(shape):
     with pytest.raises(ValueError, match="square"):
         solve(np.ones(shape), np.ones(shape[:2]))
+    with pytest.raises(ValueError, match="square"):
+        check(np.ones(shape))
