@@ -278,7 +278,8 @@ def assemble_matrix(values: Sequence[float]) -> OrthoMatrix:
 
     Raises :class:`FidelityError` when the :func:`fidelity` estimate or the
     orthonormality residual ``max |M M^T - I|`` exceeds ``FIDELITY_TOL`` or is
-    NaN, as the moment systems are exponentially ill-conditioned in the degree.
+    NaN, as the recurrence's rows lose precision on clustered or widely
+    spread values.
     An orthonormal M with a constant first row and a tridiagonal J is the
     values' matrix up to row signs. Against exact references the estimate read
     1 to 30 times the true entry error, the residual up to 110 times too little.
@@ -297,8 +298,8 @@ def assemble_matrix(values: Sequence[float]) -> OrthoMatrix:
     if not (estimate <= FIDELITY_TOL and ortho <= FIDELITY_TOL):
         raise FidelityError(
             f"estimated entry error {estimate:.2e} (fidelity residual {residual:.2e}), "
-            f"orthonormality residual {ortho:.2e}, bound {FIDELITY_TOL:.0e}: the moment "
-            f"systems for these {m} values are too ill-conditioned"
+            f"orthonormality residual {ortho:.2e}, bound {FIDELITY_TOL:.0e}: the rows built "
+            f"for these {m} values lost too much precision"
         )
     # The rows were normalized in units of the largest value.
     scales = _in_value_units(scales, unit, -np.arange(n))

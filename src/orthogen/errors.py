@@ -14,8 +14,8 @@ class SingularSystemError(ArithmeticError):
 class FidelityError(ArithmeticError):
     """Raised when a generated matrix has non-finite entries or may not be the
     matrix its values define (estimated entry error or orthonormality
-    residual above the documented bound), because the moment systems lost
-    too much precision."""
+    residual above the documented bound), because the rows the recurrence
+    built lost too much precision."""
 
 
 class DegenerateValuesError(ValueError):

@@ -18,6 +18,7 @@ from .quantize import IntMatrix
 DECIMALS = 7
 _FIXED_CELL = f"%.{DECIMALS}f"
 _NEGATIVE_ZERO = f"-0.{'0' * DECIMALS}"
+_P2_TEXT = b"0123456789 \t\n\r\x0b\x0c"  # digits and bytes.split()'s whitespace
 
 
 def format_fixed(value: float) -> str:
@@ -104,10 +105,29 @@ def int_matrix_to_c_header(
     )
 
 
+def _loadtxt(lines: list[str], delimiter: str | None) -> np.ndarray | None:
+    """Parse numeric lines in NumPy's C text reader, one table row per line.
+
+    Returns None where the reader refuses them (a bad cell, ragged rows), so
+    the caller's Python path can name the fault. ``lines`` must hold a
+    non-blank line: on none the reader warns that it found no data.
+    """
+    try:
+        return np.loadtxt(lines, dtype=float, comments=None, delimiter=delimiter, ndmin=2)
+    except ValueError:
+        return None
+
+
 def parse_matrix_csv(text: str) -> np.ndarray:
     lines = [line for line in map(str.strip, text.splitlines()) if line]
     if not lines:
         raise ValueError("empty matrix file")
+    # The C reader takes U+001F around a number as a space; NumPy's string
+    # cast below, which fixes what a cell means, refuses it.
+    if "\x1f" not in text:
+        table = _loadtxt(lines, ",")
+        if table is not None:
+            return table
     rows = [line.split(",") for line in lines]
     try:
         return np.array(rows, dtype=float)
@@ -158,10 +178,22 @@ def _read_pgm(data: bytes) -> np.ndarray:
         raise ValueError(f"unsupported PGM maxval {maxval}")
     count = width * height
     if magic == b"P2":
-        samples = np.array(data[pos:].split()[:count], dtype=float)
+        payload = data[pos:]
+        samples = None
+        # Digit runs are unsigned integers to any reader, so a payload of
+        # ASCII digits and whitespace alone goes to the C reader; the token
+        # path below takes every other one and names its fault.
+        if payload.strip() and not payload.translate(None, _P2_TEXT):
+            table = _loadtxt(payload.decode("ascii").splitlines(), None)
+            if table is not None:
+                samples = table.ravel()[:count]
+        if samples is None:
+            samples = np.array(payload.split()[:count], dtype=float)
     elif magic == b"P5":
         pos += 1  # single whitespace byte after maxval
-        dtype = ">u2" if maxval > 255 else "u1"
+        dtype = np.dtype(">u2" if maxval > 255 else "u1")
+        if len(data) - pos < count * dtype.itemsize:
+            raise ValueError("truncated PGM payload")
         samples = np.frombuffer(data, dtype=dtype, count=count, offset=pos).astype(float)
     else:
         raise ValueError(f"unsupported PGM magic {magic!r}")

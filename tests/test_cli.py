@@ -426,6 +426,17 @@ def test_transform_of_an_overflowing_block_exit_2(tmp_path, capsys):
         assert "overflows" in err
 
 
+def test_transform_of_a_truncated_pgm_exit_2(tmp_path, capsys):
+    block = tmp_path / "short.pgm"
+    block.write_bytes(b"P5\n4 4\n255\nab")
+    status, out, err = run(
+        capsys, "transform", "--preset", "dct", "--size", "4", "--block", str(block)
+    )
+    assert status == 2
+    assert out == ""
+    assert err == "error: truncated PGM payload\n"
+
+
 def test_transform_matrix_file_source(tmp_path, capsys):
     matrix_path = tmp_path / "m.csv"
     status, _, _ = run(

@@ -22,9 +22,11 @@ from orthogen.errors import (
     ConditioningWarning,
     DegenerateValuesError,
     FidelityError,
+    SingularSystemError,
     ZeroRowError,
 )
 from orthogen.linsolve import determinant, solve
+from orthogen.oracles import exact_matrix
 from orthogen.presets import preset_values
 from reference_matrices import DCT_8, DTT_4
 
@@ -426,6 +428,78 @@ def test_determinant_recurrence():
 def test_assemble_propagates_validation_errors():
     with pytest.raises(DegenerateValuesError):
         assemble_matrix([2.0, 2.0])
+
+
+# Seven values within 1e-9 relative of each other. Only the moment systems'
+# pivot test refuses them: built without that test, the rows are 6.1e-7 and
+# 6.6e-7 off the exact matrix while the fidelity estimate reads 4.0e-7 and
+# 3.3e-7, under FIDELITY_TOL.
+TIGHT_CLUSTERS = [
+    [9.551204844121232, 9.551204844462994, 9.55120484505394, 9.551204846883135,
+     9.551204848603469, 9.55120484863884, 9.551204851626823],
+    [8.215407661614776, 8.215407661851334, 8.215407663145893, 8.215407664206634,
+     8.215407664548241, 8.215407665114851, 8.215407669083058],
+]
+
+
+@pytest.mark.parametrize("values", TIGHT_CLUSTERS)
+def test_tight_clusters_are_refused(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        with pytest.raises(SingularSystemError):
+            assemble_matrix(values)
+
+
+def _cluster_sweep_sets():
+    rng = np.random.default_rng(5)
+    sets = [[1, 1.0000000000001, 1.0000000000002, 1.0000000000003]]
+    for m in range(2, 9):
+        for gap in (1e-3, 1e-5, 1e-7, 1e-9, 1e-11):
+            for _ in range(4):
+                base = rng.uniform(0.1, 10.0)
+                sets.append(base * (1.0 + gap * np.sort(rng.uniform(0.0, 1.0, m))))
+        sets += [np.exp(rng.uniform(-30.0, 30.0, m)) for _ in range(6)]
+    return sets
+
+
+def test_clustered_and_spread_sets_are_refused_or_exact():
+    # Each set of this seeded sample comes back within FIDELITY_TOL of the
+    # exact matrix or is refused with a typed error (104 and 79 of them).
+    # Other draws find sets that come back wrong; see the expected failure
+    # below.
+    returned = refused = 0
+    for values in _cluster_sweep_sets():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            try:
+                entries = assemble_matrix(values).entries
+            except (SingularSystemError, FidelityError):
+                refused += 1
+                continue
+        returned += 1
+        assert np.abs(entries - exact_matrix(values)).max() <= FIDELITY_TOL, list(values)
+    assert returned and refused
+
+
+# Five and six values within 1e-9 relative pass the pivot test and come back
+# 6.3e-7 and 6.8e-7 off the exact matrix, past FIDELITY_TOL, while the
+# fidelity estimate reads 3.0e-7 and 4.8e-7: the guard lets a wrong matrix
+# through.
+@pytest.mark.xfail(strict=True, reason="the fidelity estimate under-reads on tight clusters")
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.6633407304158726, 0.6633407304366125, 0.663340730532332, 0.6633407306693816,
+         0.6633407306773246],
+        [0.35954842101471046, 0.3595484210321375, 0.35954842113043534, 0.35954842115598884,
+         0.359548421239976, 0.35954842129743286],
+    ],
+)
+def test_tight_clusters_the_guard_passes_are_exact(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        entries = assemble_matrix(values).entries
+    assert np.abs(entries - exact_matrix(values)).max() <= FIDELITY_TOL
 
 
 def _sequential_canonical(values, coefficients):

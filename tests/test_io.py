@@ -1,8 +1,9 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -214,7 +215,10 @@ def test_pgm_errors(tmp_path):
         io.read_block(str(bad_magic))
     truncated = tmp_path / "short.pgm"
     truncated.write_bytes(b"P5\n4 4\n255\nab")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^truncated PGM payload$"):
+        io.read_block(str(truncated))
+    truncated.write_bytes(b"P5\n4 4\n1023\n" + bytes(31))
+    with pytest.raises(ValueError, match="^truncated PGM payload$"):
         io.read_block(str(truncated))
 
 
@@ -222,3 +226,103 @@ def test_read_block_csv(tmp_path):
     path = tmp_path / "block.csv"
     path.write_text("1.5,2.5\n-3.0,4.0\n")
     np.testing.assert_array_equal(io.read_block(str(path)), [[1.5, 2.5], [-3.0, 4.0]])
+
+
+# The token parsers the C-reader paths must agree with, kept as they were:
+# NumPy's string cast on every comma-separated cell or whitespace-separated
+# P2 token, and the errors that name the fault.
+def _reference_parse_matrix_csv(text):
+    lines = [line for line in map(str.strip, text.splitlines()) if line]
+    if not lines:
+        raise ValueError("empty matrix file")
+    rows = [line.split(",") for line in lines]
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError:
+        for line, row in zip(lines, rows):
+            try:
+                list(map(float, row))
+            except ValueError as exc:
+                raise ValueError(f"could not parse CSV row {line!r}") from exc
+        raise ValueError("ragged rows in matrix file") from None
+
+
+def _reference_p2(payload, width, height):
+    samples = np.array(payload.split()[: width * height], dtype=float)
+    if samples.size != width * height:
+        raise ValueError("truncated PGM payload")
+    return samples.reshape(height, width)
+
+
+def _outcome(parse, *args):
+    """The array's shape, dtype and bytes, or the error's type and message;
+    a warning counts as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = parse(*args)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return result.shape, result.dtype, result.tobytes()
+
+
+_NUMBERS = st.one_of(
+    st.integers(0, 1023).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["inf", "-Infinity", "nan", "-nan", "NaN", "1e309", "-1e309", "1e-400", "-0", "+.5", "007"]),
+)
+_ODD_CELLS = st.one_of(
+    _NUMBERS,
+    st.sampled_from(["", " ", "#", "#1", "1_0", "\uff11\uff12", "0x10", "1-2", "1e", "\x1f1", "1\xa0", "1 2"]),
+    st.text("0123456789.-+eE_#, \t\x1f\uff15", max_size=5),
+)
+_PADS = st.sampled_from(["", " ", "\t", "  "])
+
+
+@st.composite
+def _csv_texts(draw):
+    cells = _NUMBERS if draw(st.booleans()) else _ODD_CELLS
+    width = draw(st.integers(1, 4))
+    ragged = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        row = draw(st.lists(cells, min_size=1 if ragged else width, max_size=5 if ragged else width))
+        lines.append(",".join(draw(_PADS) + cell + draw(_PADS) for cell in row))
+        if draw(st.integers(0, 9)) == 0:
+            lines[-1] += ","
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(_PADS))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+@st.composite
+def _p2_files(draw):
+    width, height = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    tokens = st.integers(0, 1023).map(str) if draw(st.booleans()) else _ODD_CELLS
+    count = max(0, width * height + draw(st.integers(-2, 2)))
+    separators = st.sampled_from([" ", "\n", "\t", "\r\n", "  ", " \n ", "\n\n"])
+    payload = "".join(draw(separators) + draw(tokens) for _ in range(count))
+    payload = (payload + draw(st.sampled_from(["", "\n", " \n"]))).encode("utf-8")
+    return width, height, payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_texts())
+@example("1\x1f,2\n")
+@example("1,\x1f2\r\n3,4")
+def test_csv_parsers_match_the_token_parser(tmp_path_factory, text):
+    expected = _outcome(_reference_parse_matrix_csv, text)
+    assert _outcome(io.parse_matrix_csv, text) == expected
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(io.read_block, str(path)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_p2_files())
+def test_p2_reader_matches_the_token_parser(tmp_path_factory, p2):
+    width, height, payload = p2
+    path = tmp_path_factory.getbasetemp() / "fuzz.pgm"
+    path.write_bytes(b"P2\n%d %d\n1023" % (width, height) + payload)
+    assert _outcome(io.read_block, str(path)) == _outcome(_reference_p2, payload, width, height)
