@@ -49,8 +49,11 @@ def verify_matrix(entries: np.ndarray, tolerance: float = DEFAULT_TOLERANCE) -> 
 
     Also reports whether the mirrored half-row layout of generated matrices
     (row[k] == +/-row[n-1-k]) is present; its absence is informational, since
-    orthonormal matrices from other sources are still valid.
+    orthonormal matrices from other sources are still valid. Raises
+    ``ValueError`` for a tolerance that is not a finite number >= 0.
     """
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     entries = np.asarray(entries, dtype=float)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {entries.shape}")

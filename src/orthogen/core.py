@@ -3,16 +3,15 @@
 Given m distinct values y_0..y_{m-1} > 0, the generator builds a family of
 monic polynomials containing only even (respectively odd) powers, chosen so
 that same-parity polynomials are orthogonal over the sample points, and
-assembles a 2m x 2m orthonormal matrix sampled at +/-y_k. Each induction
-step forms one small dense moment system per parity for the unknown
-trailing coefficients of the next polynomial; the two are independent and
-form one stack. Only :func:`induct_basis` solves them, for the coefficients
-it publishes; :func:`assemble_matrix` runs just the solve's pivot test on
-them (:func:`linsolve.check`), which is where its remaining refusals come
-from. The samples of the next polynomial come from the previous one: on the
-mirrored points the monic orthogonal polynomials obey the three-term
-recurrence p_g = x p_{g-1} - b p_{g-2}, so y times the previous row is monic
-of degree g, and projecting the lower same-parity rows out of it leaves p_g.
+assembles a 2m x 2m orthonormal matrix sampled at +/-y_k. In the paper each
+induction step solves one small dense moment system per parity for the
+trailing coefficients of the next polynomial; here the two systems of a step
+form one stack that runs only through the solve's pivot test
+(:func:`linsolve.check`), which is where the remaining refusals come from.
+On the mirrored points the monic orthogonal polynomials obey the three-term
+recurrence p_g = x p_{g-1} - b p_{g-2}: y times the previous row is monic of
+degree g, projecting the lower same-parity rows out of it leaves p_g, and
+:func:`induct_basis` reads the coefficients off the same recurrence.
 All of it runs in double.
 
 Matrix layout: column j < m holds the samples at -y_j (input order) and
@@ -157,33 +156,24 @@ def build_odd_system(basis: ReducedBasis, t: int) -> EquationSystem:
     return _basis_system(basis, basis.odd_evals, t, 2 * t + 1)
 
 
-def _canonical(values: Sequence[float], coefficients: bool) -> tuple:
-    """``(values, order, unit, rows, coefs)``: the validated values, their
-    ascending order and maximum, and per degree g < 2m the monic polynomial's
-    evaluations at ``values[order] / unit`` (row g) and, if ``coefficients``,
-    its trailing coefficients (else ``coefs`` is None). The degrees 2t and
-    2t+1 have independent moment systems of the same size t, taken as one
-    stack of two: solved for the coefficients, or else only run through
-    :func:`linsolve.check`, the solve's pivot test, which refuses what the
-    solve refuses. Row g starts as ``y * rows[g-1]``, monic of degree g; by
-    the three-term recurrence it differs from p_g only by a multiple of row
-    g-2, which the projections remove. Re-expanding the solved coefficients
-    over the monomials instead cancels badly."""
+def _canonical(values: Sequence[float]) -> tuple:
+    """``(values, order, unit, rows)``: the validated values, their ascending
+    order and maximum, and per degree g < 2m the monic polynomial's
+    evaluations at ``values[order] / unit`` (row g). The degrees 2t and 2t+1
+    have independent moment systems of the same size t, pivot-tested as one
+    stack. Row g starts as ``y * rows[g-1]``, monic of degree g; by the
+    three-term recurrence it differs from p_g only by a multiple of row g-2,
+    which the projections remove."""
     raw, order = _validated(values)
     unit = raw[order[-1]]
     y = raw[order] / unit
     m = y.size
     powers = y ** np.arange(2 * m)[:, None]
     rows = powers.copy()  # rows 0 and 1 are already the monic 1 and y
-    coefs = [np.empty(0), np.empty(0)] if coefficients else None
     for t in range(1, m):
         pair = (2 * t, 2 * t + 1)
         priors = [rows[g % 2 : g : 2] for g in pair]
-        if coefficients:
-            systems = [_system(prior, powers, g) for prior, g in zip(priors, pair)]
-            coefs.extend(linsolve.solve([s.matrix for s in systems], [s.rhs for s in systems]))
-        else:
-            linsolve.check([_moments(prior, powers, g) for prior, g in zip(priors, pair)])
+        linsolve.check([_moments(prior, powers, g) for prior, g in zip(priors, pair)])
         for g, prior in zip(pair, priors):
             # Project the prior evaluations out of the three-term start, twice
             # (the usual reorthogonalization safeguard).
@@ -192,7 +182,7 @@ def _canonical(values: Sequence[float], coefficients: bool) -> tuple:
             for _ in range(2):
                 v = v - ((prior @ v) / energy) @ prior
             rows[g] = v
-    return raw, order, unit, rows, coefs
+    return raw, order, unit, rows
 
 
 def _in_value_units(x: np.ndarray, unit: float, k: np.ndarray) -> np.ndarray:
@@ -213,7 +203,17 @@ def induct_basis(values: Sequence[float]) -> ReducedBasis:
     power lies in (0, 1] and a permuted input permutes the results bit for
     bit; they are scattered back to input order and units afterwards.
     """
-    raw, order, unit, rows, coefs = _canonical(values, coefficients=True)
+    raw, order, unit, rows = _canonical(values)
+    # p_g = y p_{g-1} - (E_{g-1} / E_{g-2}) p_{g-2}, E the rows' sums of
+    # squares: the trailing coefficients of y p_{g-1} (with a zero constant
+    # term for even g) minus the ratio times p_{g-2}'s, leading 1 included.
+    # The coefficients alternate in sign with the power, so the two terms agree
+    # in sign and nothing cancels.
+    energy = np.einsum("ij,ij->i", rows, rows)
+    coefs = [np.empty(0), np.empty(0)]
+    for g in range(2, rows.shape[0]):
+        lower = energy[g - 1] / energy[g - 2] * np.append(1.0, coefs[g - 2])
+        coefs.append(np.append(coefs[g - 1], np.zeros(1 - g % 2)) - lower)
     # Undo the rescaling: a degree-g evaluation picks up unit**g, the trailing
     # coefficient at power g-2p picks up unit**(2p).
     evals = np.empty_like(rows)
@@ -284,7 +284,7 @@ def assemble_matrix(values: Sequence[float]) -> OrthoMatrix:
     values' matrix up to row signs. Against exact references the estimate read
     1 to 30 times the true entry error, the residual up to 110 times too little.
     """
-    raw, order, unit, rows, _ = _canonical(values, coefficients=False)
+    raw, order, unit, rows = _canonical(values)
     m = raw.size
     n = 2 * m
     half = np.empty((n, m))

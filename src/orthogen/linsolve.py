@@ -1,20 +1,18 @@
-"""Dense kernel for the coefficient induction: square solves and determinants.
+"""Pivot test and solves for the moment systems of the coefficient induction.
 
-``solve`` runs Gaussian elimination with partial pivoting, sized for the tiny
-systems the induction produces (t <= m-1 unknowns), and refuses a pivot too
-small to trust. It takes one system or a ``(k, t, t)`` stack of them and
-eliminates the whole stack in one loop over the columns; every system gets
-exactly the arithmetic it would get alone. ``check`` runs the same
-elimination without a right-hand side or back substitution, so it raises
-what ``solve`` raises and computes nothing else: ``core.induct_basis``
-solves the moment systems for their coefficients, while
-``core.assemble_matrix`` needs only this pivot test, which is where its
-remaining refusals come from. Both equilibrate each system with
-power-of-two row/column scales first, applied as exponents with ``ldexp`` so
-that no scale overflows; that is exact in binary64 and makes the pivot
-threshold respond to genuine rank deficiency instead of the heavy grading the
-moment systems carry. ``determinant`` is NumPy's LU determinant. Inputs are
-never mutated.
+``check`` runs Gaussian elimination with partial pivoting on one system or a
+``(k, t, t)`` stack of them, sized for the tiny systems the induction produces
+(t <= m-1 unknowns), and refuses a pivot too small to trust; every system of a
+stack gets exactly the arithmetic it would get alone. ``core.assemble_matrix``
+and ``core.induct_basis`` run only this test on the moment systems, which is
+where their remaining refusals come from; the coefficients come from the
+three-term recurrence. The test first equilibrates each system with
+power-of-two row/column scales, applied as exponents with ``ldexp`` so that no
+scale overflows; that is exact in binary64 and makes the pivot threshold
+respond to genuine rank deficiency instead of the heavy grading the moment
+systems carry. ``solve`` is that test followed by LAPACK's solve, and
+reproduces the paper's moment-system route to the coefficients.
+``determinant`` is NumPy's LU determinant. Inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -41,33 +39,27 @@ def _pow2_exponents(maxima: np.ndarray) -> np.ndarray:
     return np.frexp(maxima)[1]
 
 
-def _eliminate(a: np.ndarray, b: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Equilibrate and eliminate a validated ``(k, t, t)`` stack, with the
-    ``(k, t)`` right-hand side ``b`` riding along as the last column when
-    given, and raise the error of its first failing system. Returns the
-    eliminated stack and the column exponents that scale its unknowns."""
+def _eliminate(a: np.ndarray) -> None:
+    """Equilibrate and eliminate a validated ``(k, t, t)`` stack and raise the
+    error of its first failing system."""
     k, n = a.shape[:2]
     col_maxima = np.abs(a).max(axis=1)
-    col_exp = _pow2_exponents(col_maxima)
-    a = np.ldexp(a, -col_exp[:, None, :])
-    row_exp = _pow2_exponents(np.abs(a).max(axis=2))
-    if b is not None:
-        a = np.concatenate([a, b[:, :, None]], axis=2)
-    aug = np.ldexp(a, -row_exp[:, :, None])
-    floor = PIVOT_RTOL * np.abs(aug[:, :, :n]).max(axis=(1, 2))
+    a = np.ldexp(a, -_pow2_exponents(col_maxima)[:, None, :])
+    a = np.ldexp(a, -_pow2_exponents(np.abs(a).max(axis=2))[:, :, None])
+    floor = PIVOT_RTOL * np.abs(a).max(axis=(1, 2))
 
     systems = np.arange(k)
     # A failing system runs on into zero pivots and NaN; it is refused after
     # the loop by its first bad pivot, which it meets as it would alone.
     with np.errstate(invalid="ignore"):
         for j in range(n):
-            p = j + np.abs(aug[:, j:, j]).argmax(axis=1)
-            pivot_rows = aug[systems, p]
-            aug[systems, p] = aug[:, j]
-            aug[:, j] = pivot_rows
-            factors = aug[:, j + 1 :, j] / pivot_rows[:, j, None]
-            aug[:, j + 1 :, j + 1 :] -= factors[:, :, None] * pivot_rows[:, None, j + 1 :]
-        pivots = np.diagonal(aug, axis1=1, axis2=2)
+            p = j + np.abs(a[:, j:, j]).argmax(axis=1)
+            pivot_rows = a[systems, p]
+            a[systems, p] = a[:, j]
+            a[:, j] = pivot_rows
+            factors = a[:, j + 1 :, j] / pivot_rows[:, j, None]
+            a[:, j + 1 :, j + 1 :] -= factors[:, :, None] * pivot_rows[:, None, j + 1 :]
+        pivots = np.diagonal(a, axis1=1, axis2=2)
         bad = (np.abs(pivots) < floor[:, None]) | (pivots == 0.0)
     zero_column = (col_maxima == 0.0).any(axis=1)
     failed = zero_column | bad.any(axis=1)
@@ -79,27 +71,24 @@ def _eliminate(a: np.ndarray, b: np.ndarray | None) -> tuple[np.ndarray, np.ndar
         raise SingularSystemError(
             f"pivot {pivots[i, j]:.3e} in column {j} below threshold {floor[i]:.3e}"
         )
-    return aug, col_exp
 
 
 def check(a) -> None:
     """Run only the pivot test of :func:`solve` on ``a``, one ``(t, t)``
-    matrix or a ``(k, t, t)`` stack: the same equilibration and elimination,
-    with no right-hand side and no back substitution. Raises exactly the
+    matrix or a ``(k, t, t)`` stack. Raises exactly the
     :class:`SingularSystemError` or ``ValueError`` that ``solve(a, rhs)``
     raises for any finite ``rhs`` of the right shape; returns nothing.
     """
     a = _checked_square(a, stack=True)
-    _eliminate(a[None] if a.ndim == 2 else a, None)
+    _eliminate(a[None] if a.ndim == 2 else a)
 
 
 def solve(a, rhs) -> np.ndarray:
     """Solve ``a @ x = rhs`` for a square ``a``, or for each system of a stack.
 
     ``a`` is ``(t, t)`` with t ``rhs`` entries, or a ``(k, t, t)`` stack with
-    a ``(k, t)`` ``rhs``; the result is ``(t,)`` or ``(k, t)``. Each system of
-    a stack gets the same equilibration, pivots and roundings as when solved
-    alone, so the results agree bit for bit.
+    a ``(k, t)`` ``rhs``; the result is ``(t,)`` or ``(k, t)``. A system that
+    passes the pivot test is solved by LAPACK (``numpy.linalg.solve``).
 
     Raises :class:`SingularSystemError` when a matrix has a zero column or any
     pivot of the equilibrated matrix falls below ``PIVOT_RTOL`` times its
@@ -118,15 +107,9 @@ def solve(a, rhs) -> np.ndarray:
         )
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side entries must be finite")
-    aug, col_exp = _eliminate(a, b)
-
-    # Stacked matmul rounds each dot exactly as ``np.dot`` of the two rows does.
-    k, n = a.shape[:2]
-    x = np.empty((k, n))
-    for j in range(n - 1, -1, -1):
-        dots = (aug[:, j, None, j + 1 : n] @ x[:, j + 1 :, None])[:, 0, 0]
-        x[:, j] = (aug[:, j, n] - dots) / aug[:, j, j]
-    x = np.ldexp(x, -col_exp)
+    _eliminate(a)
+    # A trailing unit axis makes b a stack of columns under NumPy 1.x and 2.x alike.
+    x = np.linalg.solve(a, b[..., None])[..., 0]
     return x[0] if single else x
 
 

@@ -289,6 +289,20 @@ def test_verify_non_square_exit_2(tmp_path, capsys):
     assert status == 2
 
 
+@pytest.mark.parametrize("tolerance", ["inf", "-inf", "nan", "-1", "-1e-300"])
+def test_verify_refuses_a_tolerance_not_finite_and_non_negative(tmp_path, capsys, tolerance):
+    # inf used to pass any finite matrix; nan and negative values printed FAIL
+    # with exit 1, and nan also reported the mirrored layout as absent.
+    path = tmp_path / "dct.csv"
+    path.write_text(io.matrix_to_csv(np.array(DCT_8)))
+    status, out, err = run(capsys, "verify", str(path), f"--tolerance={tolerance}")
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: tolerance must be a finite number >= 0")
+    with pytest.raises(ValueError, match="tolerance must be"):
+        verify_matrix(np.array(DCT_8), float(tolerance))
+
+
 def test_verify_report_fields():
     report = verify_matrix(np.eye(4), tolerance=1e-9)
     assert report.orthogonality_residual == 0.0

@@ -1,5 +1,6 @@
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ from orthogen.errors import (
     ZeroRowError,
 )
 from orthogen.linsolve import determinant, solve
-from orthogen.oracles import exact_matrix
-from orthogen.presets import preset_values
+from orthogen.oracles import exact_family, exact_matrix
+from orthogen.presets import PRESETS, preset_values
 from reference_matrices import DCT_8, DTT_4
 
 
@@ -112,6 +113,50 @@ def test_dtt_coefficients():
     for t in range(4):
         np.testing.assert_allclose(basis.even_coefs[t], DTT8_EVEN_COEFS[t], atol=5e-8)
         np.testing.assert_allclose(basis.odd_coefs[t], DTT8_ODD_COEFS[t], atol=5e-8)
+
+
+def _exact_coefficients(values):
+    # The exact family's three-term recurrence expanded over the monomials in
+    # rationals: per degree, the trailing coefficients, highest power first.
+    _, norms = exact_family(values)
+    polys = [[Fraction(1)], [Fraction(1), Fraction(0)]]
+    for k in range(1, len(norms) - 1):
+        ratio = norms[k] / norms[k - 1]
+        shifted = polys[k] + [Fraction(0)]
+        lower = [Fraction(0), Fraction(0)] + polys[k - 1]
+        polys.append([p - ratio * q for p, q in zip(shifted, lower)])
+    return [poly[2::2] for poly in polys]
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [("dct", 16), ("dtt", 16), ("dtt", 32), ("triangular", 24), ("triangular", 32),
+     ("prime", 32), ("prime", 48), ("fibonacci", 28)],
+)
+def test_coefficients_match_exact_rationals(kind, n):
+    # Solving the moment systems for them was 3e-4 off at triangular n = 24
+    # and 9e16 off at fibonacci n = 28.
+    values = preset_values(kind, n)
+    basis = induct_basis(values)
+    got = [None] * n
+    got[0::2], got[1::2] = basis.even_coefs, basis.odd_coefs
+    for g, (coefs, exact) in enumerate(zip(got, _exact_coefficients(values))):
+        assert len(coefs) == len(exact)
+        for c, e in zip(coefs.tolist(), exact):
+            assert abs(Fraction(c) - e) <= 1e-13 * abs(e), (g, c, float(e))
+
+
+@pytest.mark.parametrize("kind", PRESETS)
+def test_moment_system_solves_reproduce_the_coefficients(kind):
+    # The paper's route: solve each induction step's moment system. It loses
+    # accuracy with the degree (4.6e-7 at fibonacci n = 16, 2.8e-9 or less for
+    # the other presets), but agrees with the recurrence at these sizes.
+    for n in range(4, 17, 2):
+        basis = induct_basis(preset_values(kind, n))
+        for t in range(1, n // 2):
+            for build, coefs in ((build_even_system, basis.even_coefs),
+                                 (build_odd_system, basis.odd_coefs)):
+                np.testing.assert_allclose(solve(*build(basis, t)), coefs[t], rtol=2e-6, atol=0)
 
 
 def test_same_parity_discrete_orthogonality():
@@ -365,13 +410,13 @@ def test_assemble_refuses_a_wrong_matrix(monkeypatch):
     # orthonormal but makes it wrong: row 3 now couples to row 0 in J.
     canonical = core._canonical
 
-    def rotated(values, coefficients):
-        raw, order, unit, rows, coefs = canonical(values, coefficients)
+    def rotated(values):
+        raw, order, unit, rows = canonical(values)
         norms = np.linalg.norm(rows[[1, 3]], axis=1)
         one, three = rows[[1, 3]] / norms[:, None]
         c, s = np.cos(1e-3), np.sin(1e-3)
         rows[1], rows[3] = norms[0] * (c * one - s * three), norms[1] * (s * one + c * three)
-        return raw, order, unit, rows, coefs
+        return raw, order, unit, rows
 
     monkeypatch.setattr(core, "_canonical", rotated)
     with pytest.raises(FidelityError) as info:
@@ -394,10 +439,10 @@ def test_assemble_refuses_a_non_orthonormal_matrix(monkeypatch):
     # the orthonormality residual does.
     canonical = core._canonical
 
-    def skewed(values, coefficients):
-        raw, order, unit, rows, coefs = canonical(values, coefficients)
+    def skewed(values):
+        raw, order, unit, rows = canonical(values)
         rows[2] += 1e-3 * rows[0]
-        return raw, order, unit, rows, coefs
+        return raw, order, unit, rows
 
     monkeypatch.setattr(core, "_canonical", skewed)
     with pytest.raises(FidelityError, match=r"estimated entry error \S+e-1\d .*orthonormality residual \S+e-03"):
@@ -502,29 +547,26 @@ def test_tight_clusters_the_guard_passes_are_exact(values):
     assert np.abs(entries - exact_matrix(values)).max() <= FIDELITY_TOL
 
 
-def _sequential_canonical(values, coefficients):
-    # The induction with every system solved alone through 2-D solve, where
-    # _canonical stacks the even and odd systems of each degree pair and,
-    # for assemble_matrix, runs only the pivot test. It solves every system
-    # whatever ``coefficients`` says, so the comparison pins that the
-    # pivot-only path refuses exactly what the full solve refuses.
+def _sequential_canonical(values):
+    # The induction with every moment system solved alone through 2-D solve,
+    # where _canonical stacks the even and odd systems of each degree pair
+    # and runs only the pivot test: the comparison pins that the pivot test
+    # refuses exactly what the full solve refuses.
     raw, order = core._validated(values)
     unit = raw[order[-1]]
     y = raw[order] / unit
     m = y.size
     powers = y ** np.arange(2 * m)[:, None]
     rows = powers.copy()
-    coefs = [np.empty(0), np.empty(0)]
     for g in range(2, 2 * m):
         prior = rows[g % 2 : g : 2]
-        coeffs = solve(*core._system(prior, powers, g))
+        solve(*core._system(prior, powers, g))
         v = y * rows[g - 1]
         energy = np.einsum("ij,ij->i", prior, prior)
         for _ in range(2):
             v = v - ((prior @ v) / energy) @ prior
         rows[g] = v
-        coefs.append(coeffs)
-    return raw, order, unit, rows, coefs
+    return raw, order, unit, rows
 
 
 def _outputs(values):
