@@ -5,14 +5,14 @@ monic polynomials containing only even (respectively odd) powers, chosen so
 that same-parity polynomials are orthogonal over the sample points, and
 assembles a 2m x 2m orthonormal matrix sampled at +/-y_k. In the paper each
 induction step solves one small dense moment system per parity for the
-trailing coefficients of the next polynomial; here the two systems of a step
-form one stack that runs only through the solve's pivot test
-(:func:`linsolve.check`), which is where the remaining refusals come from.
-On the mirrored points the monic orthogonal polynomials obey the three-term
-recurrence p_g = x p_{g-1} - b p_{g-2}: y times the previous row is monic of
-degree g, projecting the lower same-parity rows out of it leaves p_g, and
-:func:`induct_basis` reads the coefficients off the same recurrence.
-All of it runs in double.
+trailing coefficients of the next polynomial; here the systems of every step
+run only through the solve's pivot test, in one elimination per build
+(:func:`linsolve.check_stacks`), which is where the remaining refusals come
+from. On the mirrored points the monic orthogonal polynomials obey the
+three-term recurrence p_g = x p_{g-1} - b p_{g-2}: y times the previous row
+is monic of degree g, projecting the lower same-parity rows out of it leaves
+p_g, and :func:`induct_basis` reads the coefficients off the same
+recurrence. All of it runs in double.
 
 Matrix layout: column j < m holds the samples at -y_j (input order) and
 column m + j holds the samples at +y_{m-1-j}, so the sample sequence runs
@@ -116,8 +116,9 @@ class OrthoMatrix:
     """An assembled 2m x 2m orthonormal matrix plus its provenance.
 
     ``norm_scales[i]`` is the positive factor that scaled row i's monic
-    polynomial samples to unit length. For large values it can fall below
-    the double range and then reads 0.0 (values near 1e11 at n = 32).
+    polynomial samples to unit length. It can leave the double range: it
+    reads 0.0 below it (values near 1e11 at n = 32) and inf above it (values
+    near 1e-11 at n = 32).
     """
 
     n: int
@@ -159,29 +160,45 @@ def build_odd_system(basis: ReducedBasis, t: int) -> EquationSystem:
 def _canonical(values: Sequence[float]) -> tuple:
     """``(values, order, unit, rows)``: the validated values, their ascending
     order and maximum, and per degree g < 2m the monic polynomial's
-    evaluations at ``values[order] / unit`` (row g). The degrees 2t and 2t+1
-    have independent moment systems of the same size t, pivot-tested as one
-    stack. Row g starts as ``y * rows[g-1]``, monic of degree g; by the
-    three-term recurrence it differs from p_g only by a multiple of row g-2,
-    which the projections remove."""
+    evaluations at ``values[order] / unit`` (row g). Row g starts as
+    ``y * rows[g-1]``, monic of degree g; by the three-term recurrence it
+    differs from p_g only by a multiple of row g-2, which the projections
+    remove. Step t's even and odd moment systems, both of size t, are formed
+    from the rows below degree 2t, and every step's pair is pivot-tested in
+    one elimination once all the rows are built."""
     raw, order = _validated(values)
     unit = raw[order[-1]]
     y = raw[order] / unit
     m = y.size
     powers = y ** np.arange(2 * m)[:, None]
     rows = powers.copy()  # rows 0 and 1 are already the monic 1 and y
-    for t in range(1, m):
-        pair = (2 * t, 2 * t + 1)
-        priors = [rows[g % 2 : g : 2] for g in pair]
-        linsolve.check([_moments(prior, powers, g) for prior, g in zip(priors, pair)])
-        for g, prior in zip(pair, priors):
+    # Rows past a step the pivot test refuses can be garbage, or inf and NaN;
+    # they are built quietly and never published.
+    with np.errstate(all="ignore"):
+        for g in range(2, 2 * m):
             # Project the prior evaluations out of the three-term start, twice
             # (the usual reorthogonalization safeguard).
+            prior = rows[g % 2 : g : 2]
             v = y * rows[g - 1]
             energy = np.einsum("ij,ij->i", prior, prior)
             for _ in range(2):
                 v = v - ((prior @ v) / energy) @ prior
             rows[g] = v
+    # A row goes non-finite only when a lower row's sum of squares, which
+    # divides its projection, underflows; the steps whose systems would hold
+    # it are not tested.
+    finite = np.isfinite(rows).all(axis=1)
+    steps = m - 1 if finite.all() else min(m - 1, int(finite.argmin()) // 2)
+
+    def moments(i: int) -> list[np.ndarray]:
+        return [_moments(rows[g % 2 : g : 2], powers, g) for g in (2 * i + 2, 2 * i + 3)]
+
+    linsolve.check_stacks(range(1, steps + 1), moments)
+    if steps < m - 1:
+        raise ZeroRowError(
+            f"cannot build row {finite.argmin()}: a lower row's samples are all zero "
+            "or too small to square in double"
+        )
     return raw, order, unit, rows
 
 
@@ -191,9 +208,12 @@ def _in_value_units(x: np.ndarray, unit: float, k: np.ndarray) -> np.ndarray:
     overflow or vanish, so split unit = frac * 2**exp (frac in [0.5, 1)),
     divide by frac**-k, which lies within a factor 2**|k| of 1, and apply the
     power of two exactly with ldexp. At the sizes the fidelity check passes,
-    only results outside the double range overflow or underflow."""
+    only results outside the double range overflow or underflow: they read
+    +/-inf or 0.0, with no warning."""
     frac, exp = math.frexp(unit)
-    return np.ldexp(x / frac**-k, exp * k)
+    scaled = x / frac**-k
+    with np.errstate(over="ignore"):
+        return np.ldexp(scaled, exp * k)
 
 
 def induct_basis(values: Sequence[float]) -> ReducedBasis:
@@ -201,7 +221,9 @@ def induct_basis(values: Sequence[float]) -> ReducedBasis:
 
     The induction runs on the values sorted ascending over their max, so every
     power lies in (0, 1] and a permuted input permutes the results bit for
-    bit; they are scattered back to input order and units afterwards.
+    bit; they are scattered back to input order and units afterwards. An
+    evaluation or coefficient outside the double range reads +/-inf or 0.0
+    (values near 1e20 at n = 32 reach inf).
     """
     raw, order, unit, rows = _canonical(values)
     # p_g = y p_{g-1} - (E_{g-1} / E_{g-2}) p_{g-2}, E the rows' sums of

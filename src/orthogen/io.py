@@ -73,7 +73,8 @@ def ortho_matrix_to_json(matrix: OrthoMatrix) -> str:
         "n": matrix.n,
         "values": list(matrix.values),
         "entries": [list(row) for row in matrix.entries],
-        "normScales": list(matrix.norm_scales),
+        # JSON has no infinity; a scale beyond the double range is null.
+        "normScales": [float(c) if np.isfinite(c) else None for c in matrix.norm_scales],
     }
     return json.dumps(payload, indent=2) + "\n"
 

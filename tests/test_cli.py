@@ -158,6 +158,32 @@ def test_norm_scales_of_large_values_do_not_overflow(capsys):
     assert (scales[:30] > 0.0).all() and (scales[30:] == 0.0).all()
 
 
+def test_norm_scales_beyond_the_double_range_are_json_null(capsys):
+    values = ",".join(f"{k}e-12" for k in range(1, 17))
+    status, out, err = run(capsys, "generate", "--values", values, "--format", "json")
+    assert status == 0
+    assert "warning:" not in err
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    scales = json.loads(out, parse_constant=refuse)["normScales"]
+    assert scales[28:] == [None] * 4
+    assert all(isinstance(c, float) and c > 0.0 for c in scales[:28])
+
+
+UNDERFLOWING = (
+    "2.450484912167885e-84,4.8401458732187e-24,1.8178375660884261e+161,"
+    "8.312703602746839e+189,7.677432889724853e+281,5.794813270203256e+287"
+)
+
+
+def test_generate_rows_that_underflow_exit_3(capsys):
+    status, out, err = run(capsys, "generate", "--values", UNDERFLOWING)
+    assert status == 3 and out == ""
+    assert err.startswith("error: cannot build row 8") and len(err.splitlines()) == 1
+
+
 def test_module_entry_matches_in_process_main(capsys):
     argv = ["generate", "--preset", "dct", "--size", "8"]
     status, out, _ = run(capsys, *argv)

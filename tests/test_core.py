@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_values, value_sets
-from orthogen import core
+from orthogen import core, linsolve
 from orthogen.core import (
     FIDELITY_TOL,
     assemble_matrix,
@@ -284,6 +284,67 @@ def test_induct_basis_large_values_overflow_only_where_the_double_range_ends():
         ):
             for got, want in zip(family, reference):
                 np.testing.assert_array_equal(got, np.ldexp(want, 80 * np.arange(1, want.size + 1)))
+
+
+def test_tiny_values_give_infinite_norm_scales_quietly():
+    # c / unit**g passes the double range for the last rows; the matrix
+    # itself is the one of the same values in other units
+    values = np.arange(1, 17) * 1e-12
+    matrix = assemble_matrix(values)
+    np.testing.assert_array_equal(matrix.entries, assemble_matrix(values * 1e12).entries)
+    assert np.isinf(matrix.norm_scales[28:]).all()
+    assert np.isfinite(matrix.norm_scales[:28]).all() and (matrix.norm_scales > 0.0).all()
+
+
+def test_induct_basis_overflows_to_inf_quietly():
+    # No RuntimeWarning, which the test filter would raise; the last odd
+    # evaluations (about 1e21**31) lie past the double range
+    basis = induct_basis(np.arange(1, 17) * 1e20)
+    assert np.isinf(basis.odd_evals[-1]).all() and np.isinf(basis.odd_coefs[-1][-1])
+    assert np.isfinite(basis.even_evals[5]).all()
+
+
+# Six valid values spread over 1e-84..1e287: in units of the largest, the
+# samples of rows 6 and 7 are too small to square, so rows 8 and up cannot
+# be built.
+UNDERFLOWING = [2.450484912167885e-84, 4.8401458732187e-24, 1.8178375660884261e161,
+                8.312703602746839e189, 7.677432889724853e281, 5.794813270203256e287]
+
+
+@pytest.mark.parametrize("build", [assemble_matrix, induct_basis])
+def test_rows_that_underflow_raise_zero_row_error(build):
+    with pytest.raises(ZeroRowError, match="cannot build row 8: a lower row's samples"):
+        build(UNDERFLOWING)
+
+
+def test_an_earlier_pivot_failure_wins_over_rows_that_underflow(monkeypatch):
+    # The seventh value makes step 5's systems singular; rows 10 and up
+    # cannot be built, so step 6's cannot be formed.
+    values = UNDERFLOWING + [UNDERFLOWING[-1] * (1 + 1e-11)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        with pytest.raises(SingularSystemError, match="in column 2 "):
+            assemble_matrix(values)
+        monkeypatch.setattr(linsolve, "_eliminate", lambda sizes, stack: None)
+        with pytest.raises(ZeroRowError, match="cannot build row 10"):
+            assemble_matrix(values)
+
+
+@pytest.mark.parametrize("build", [assemble_matrix, induct_basis])
+@pytest.mark.parametrize("kind, n", [("dct", 16), ("triangular", 64), ("fibonacci", 128)])
+def test_a_build_runs_one_elimination(build, kind, n, monkeypatch):
+    sizes = []
+    eliminate = linsolve._eliminate
+    monkeypatch.setattr(linsolve, "_eliminate", lambda *args: sizes.append(list(args[0])) or eliminate(*args))
+    if kind == "fibonacci":
+        # Refused at step 18; row 59 is not finite, so the test stops
+        # before step 30, whose systems would hold it
+        with pytest.raises(SingularSystemError):
+            build(preset_values(kind, n))
+        assert sizes == [list(range(1, 30))]
+    else:
+        build(preset_values(kind, n))
+        assert sizes == [list(range(1, n // 2))]
 
 
 def test_assemble_two_by_two():

@@ -8,7 +8,7 @@ from conftest import random_values
 from orthogen import linsolve
 from orthogen.core import build_even_system, build_odd_system, induct_basis
 from orthogen.errors import SingularSystemError
-from orthogen.linsolve import check, determinant, solve
+from orthogen.linsolve import check, check_stacks, determinant, solve
 
 
 @pytest.mark.parametrize(
@@ -200,3 +200,101 @@ def test_stack_of_non_square_or_empty_matrices_rejected(shape):
         solve(np.ones(shape), np.ones(shape[:2]))
     with pytest.raises(ValueError, match="square"):
         check(np.ones(shape))
+
+
+def _outcome(run):
+    try:
+        run()
+    except (SingularSystemError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _checked_together(stacks):
+    # One elimination for every stack, each formed when it joins; records
+    # which stacks were formed, in order.
+    formed = []
+
+    def stack(i):
+        formed.append(i)
+        return stacks[i]
+
+    outcome = _outcome(lambda: check_stacks([np.shape(a)[-1] for a in stacks], stack))
+    return outcome, formed
+
+
+def _checked_one_by_one(stacks):
+    def run():
+        for a in stacks:
+            check(a)
+
+    return _outcome(run)
+
+
+NON_FINITE = [[1.0, 0.0, 0.0], [0.0, np.nan, 0.0], [0.0, 0.0, 1.0]]
+
+
+def test_mixed_sizes_raise_what_checking_one_by_one_raises():
+    rng = np.random.default_rng(23)
+    mixes = [[_graded_systems(rng, int(rng.integers(1, 4)), t)[0] for t in rng.integers(1, 12, 6)] for _ in range(40)]
+    assert all(_checked_together(stacks)[0] is None for stacks in mixes)
+    failing = [FAILS_LATE, FAILS_EARLY, ZERO_COLUMN, [[0.0]], [[1e-300, 1.0], [1e-300, 1.0]]]
+    for stacks in mixes:
+        for bad in failing:
+            for at in (0, 3, 6):
+                mixed = stacks[:at] + [bad] + stacks[at:]
+                assert _checked_together(mixed)[0] == _checked_one_by_one(mixed) is not None
+    # Two failures of different sizes: the first in order wins, whichever
+    # joins first
+    for pair in ([FAILS_LATE, [[0.0]]], [[[0.0]], FAILS_LATE], [ZERO_COLUMN, FAILS_EARLY]):
+        mixed = [mixes[0][0], pair[0], mixes[0][1], pair[1]]
+        assert _checked_together(mixed)[0] == _checked_one_by_one(mixed)
+
+
+@pytest.mark.parametrize(
+    "stacks",
+    [
+        [REGULAR, [[2.0]], FAILS_EARLY, NON_FINITE, [[1.0, 2.0], [2.0, 4.0]]],
+        [REGULAR, NON_FINITE, FAILS_EARLY, [[0.0]]],
+        [[[0.0]], np.eye(5), FAILS_LATE, NON_FINITE],
+        [NON_FINITE, np.eye(4), FAILS_LATE],
+        [np.eye(2), NON_FINITE[:2]],
+    ],
+)
+def test_the_first_invalid_stack_stops_the_test(stacks):
+    outcome, formed = _checked_together(stacks)
+    assert outcome == _checked_one_by_one(stacks)
+    stop = next((i for i, a in enumerate(stacks) if not np.isfinite(a).all() or np.shape(a)[0] != np.shape(a)[1]))
+    # Largest first, and nothing smaller than the stop after it is formed
+    sizes = [np.shape(a)[-1] for a in stacks]
+    assert formed == sorted(formed, key=lambda i: -sizes[i])
+    assert stop in formed
+    assert all(i < stop or sizes[i] > sizes[stop] for i in formed if i != stop)
+
+
+def test_equal_sizes_join_at_the_first_column_as_one_stack():
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        a, _ = _graded_systems(rng, 4, int(rng.integers(1, 9)))
+        a[rng.integers(4), :, 0] = 0.0
+        assert _checked_together(list(a))[0] == _outcome(lambda: check(a)) == _checked_one_by_one(a)
+
+
+def test_check_stacks_runs_one_elimination(monkeypatch):
+    calls = []
+    eliminate = linsolve._eliminate
+    monkeypatch.setattr(linsolve, "_eliminate", lambda *args: calls.append(1) or eliminate(*args))
+    check_stacks([3, 1, 2], lambda i: [REGULAR, [[1.0]], np.eye(2)][i])
+    assert calls == [1]
+    assert check_stacks([], None) is None
+
+
+@pytest.mark.parametrize("sizes", [[2, 0], [-1]])
+def test_check_stacks_rejects_sizes_below_one(sizes):
+    with pytest.raises(ValueError, match="at least one unknown"):
+        check_stacks(sizes, lambda i: np.eye(2))
+
+
+def test_check_stacks_rejects_a_stack_of_another_size():
+    with pytest.raises(ValueError, match="2 unknowns, expected 3"):
+        check_stacks([3], lambda i: np.eye(2))
