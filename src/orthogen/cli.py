@@ -209,6 +209,8 @@ def _cmd_transform(args) -> int:
     block = io.read_block(args.block)
     if args.keep is not None and args.direction != "fwd":
         raise ValueError("--keep only applies to the forward direction")
+    if args.report is not None and args.keep is None:
+        raise ValueError("--report needs --keep, the coefficient count the report is about")
     if args.direction == "fwd":
         result = forward_2d(entries, block)
     else:

@@ -5,9 +5,9 @@ monic polynomials containing only even (respectively odd) powers, chosen so
 that same-parity polynomials are orthogonal over the sample points, and
 assembles a 2m x 2m orthonormal matrix sampled at +/-y_k. In the paper each
 induction step solves one small dense moment system per parity for the
-trailing coefficients of the next polynomial; here the systems of every step
-run only through the solve's pivot test, in one elimination per build
-(:func:`linsolve.check_stacks`), which is where the remaining refusals come
+trailing coefficients of the next polynomial; here the systems of steps
+1..m-1 run only through the solve's pivot test, in one elimination per build
+(:func:`linsolve.check_steps`), which is where the remaining refusals come
 from. On the mirrored points the monic orthogonal polynomials obey the
 three-term recurrence p_g = x p_{g-1} - b p_{g-2}: y times the previous row
 is monic of degree g, projecting the lower same-parity rows out of it leaves
@@ -164,8 +164,9 @@ def _canonical(values: Sequence[float]) -> tuple:
     ``y * rows[g-1]``, monic of degree g; by the three-term recurrence it
     differs from p_g only by a multiple of row g-2, which the projections
     remove. Step t's even and odd moment systems, both of size t, are formed
-    from the rows below degree 2t, and every step's pair is pivot-tested in
-    one elimination once all the rows are built."""
+    from the rows below degree 2t, and the pairs of steps 1..m-1 are
+    pivot-tested in one elimination once all the rows are built, the
+    largest formed first."""
     raw, order = _validated(values)
     unit = raw[order[-1]]
     y = raw[order] / unit
@@ -190,10 +191,10 @@ def _canonical(values: Sequence[float]) -> tuple:
     finite = np.isfinite(rows).all(axis=1)
     steps = m - 1 if finite.all() else min(m - 1, int(finite.argmin()) // 2)
 
-    def moments(i: int) -> list[np.ndarray]:
-        return [_moments(rows[g % 2 : g : 2], powers, g) for g in (2 * i + 2, 2 * i + 3)]
+    def moments(t: int) -> np.ndarray:
+        return np.array([_moments(rows[g % 2 : g : 2], powers, g) for g in (2 * t, 2 * t + 1)])
 
-    linsolve.check_stacks(range(1, steps + 1), moments)
+    linsolve.check_steps(moments, steps)
     if steps < m - 1:
         raise ZeroRowError(
             f"cannot build row {finite.argmin()}: a lower row's samples are all zero "

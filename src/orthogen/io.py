@@ -146,7 +146,10 @@ def parse_matrix_json(text: str) -> np.ndarray:
     data = json.loads(text)
     if not isinstance(data, dict) or "entries" not in data:
         raise ValueError("matrix JSON must be an object with an 'entries' key")
-    return np.array(data["entries"], dtype=float)
+    try:
+        return np.array(data["entries"], dtype=float)
+    except TypeError as exc:  # an object in place of a row or a number
+        raise ValueError("matrix JSON 'entries' must be a list of rows of numbers") from exc
 
 
 def read_matrix(path: str) -> np.ndarray:
@@ -174,6 +177,9 @@ def _read_pgm(data: bytes) -> np.ndarray:
         pos += match.end()
         if not token.startswith(b"#"):
             tokens.append(token)
+    for name, token in (("width", tokens[1]), ("height", tokens[2])):
+        if not token.isdigit() or int(token) == 0:
+            raise ValueError(f"PGM {name} must be a positive integer, got {token.decode('latin-1')!r}")
     magic, width, height, maxval = tokens[0], int(tokens[1]), int(tokens[2]), int(tokens[3])
     if maxval <= 0 or maxval > 65535:
         raise ValueError(f"unsupported PGM maxval {maxval}")

@@ -315,6 +315,21 @@ def test_verify_non_square_exit_2(tmp_path, capsys):
     assert status == 2
 
 
+@pytest.mark.parametrize("payload", ['{"entries": {"a": 1}}', '{"entries": [[{}]]}'])
+def test_json_entries_that_are_objects_exit_2(tmp_path, capsys, payload):
+    # NumPy's TypeError used to escape as a traceback and exit 1, the code of
+    # a failed check
+    path = tmp_path / "m.json"
+    path.write_text(payload)
+    block = tmp_path / "b.csv"
+    _write_block_csv(block, np.ones((2, 2)))
+    for argv in (["verify", str(path)], ["transform", "--matrix", str(path), "--block", str(block)]):
+        status, out, err = run(capsys, *argv)
+        assert status == 2
+        assert out == ""
+        assert err == "error: matrix JSON 'entries' must be a list of rows of numbers\n"
+
+
 @pytest.mark.parametrize("tolerance", ["inf", "-inf", "nan", "-1", "-1e-300"])
 def test_verify_refuses_a_tolerance_not_finite_and_non_negative(tmp_path, capsys, tolerance):
     # inf used to pass any finite matrix; nan and negative values printed FAIL
@@ -559,6 +574,21 @@ def test_transform_keep_with_inverse_rejected(tmp_path, capsys):
         "--block", str(block), "--direction", "inv", "--keep", "4",
     )
     assert status == 2
+
+
+def test_transform_report_without_keep_rejected(tmp_path, capsys):
+    # It used to exit 0 with the coefficients and no report
+    block = tmp_path / "b.csv"
+    _write_block_csv(block, np.ones((8, 8)))
+    report = tmp_path / "r.json"
+    status, out, err = run(
+        capsys, "transform", "--preset", "dct", "--size", "8",
+        "--block", str(block), "--report", str(report),
+    )
+    assert status == 2
+    assert out == ""
+    assert err == "error: --report needs --keep, the coefficient count the report is about\n"
+    assert not report.exists()
 
 
 def test_transform_size_mismatch_exit_2(tmp_path, capsys):

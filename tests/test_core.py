@@ -325,7 +325,7 @@ def test_an_earlier_pivot_failure_wins_over_rows_that_underflow(monkeypatch):
         warnings.simplefilter("ignore", ConditioningWarning)
         with pytest.raises(SingularSystemError, match="in column 2 "):
             assemble_matrix(values)
-        monkeypatch.setattr(linsolve, "_eliminate", lambda sizes, stack: None)
+        monkeypatch.setattr(linsolve, "check_steps", lambda moments, last: None)
         with pytest.raises(ZeroRowError, match="cannot build row 10"):
             assemble_matrix(values)
 
@@ -333,18 +333,24 @@ def test_an_earlier_pivot_failure_wins_over_rows_that_underflow(monkeypatch):
 @pytest.mark.parametrize("build", [assemble_matrix, induct_basis])
 @pytest.mark.parametrize("kind, n", [("dct", 16), ("triangular", 64), ("fibonacci", 128)])
 def test_a_build_runs_one_elimination(build, kind, n, monkeypatch):
-    sizes = []
-    eliminate = linsolve._eliminate
-    monkeypatch.setattr(linsolve, "_eliminate", lambda *args: sizes.append(list(args[0])) or eliminate(*args))
+    # One call, and in it every step's stack formed once, the largest first
+    formed = []
+    check_steps = linsolve.check_steps
+
+    def recorded(moments, last):
+        formed.append([])
+        return check_steps(lambda t: formed[-1].append(t) or moments(t), last)
+
+    monkeypatch.setattr(linsolve, "check_steps", recorded)
     if kind == "fibonacci":
         # Refused at step 18; row 59 is not finite, so the test stops
         # before step 30, whose systems would hold it
         with pytest.raises(SingularSystemError):
             build(preset_values(kind, n))
-        assert sizes == [list(range(1, 30))]
+        assert formed == [list(range(29, 0, -1))]
     else:
         build(preset_values(kind, n))
-        assert sizes == [list(range(1, n // 2))]
+        assert formed == [list(range(n // 2 - 1, 0, -1))]
 
 
 def test_assemble_two_by_two():

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -222,6 +223,23 @@ def test_pgm_errors(tmp_path):
         io.read_block(str(truncated))
 
 
+@pytest.mark.parametrize("magic", [b"P2", b"P5"])
+@pytest.mark.parametrize(
+    "size, message",
+    [(b"-2 -2", "width must be a positive integer, got '-2'"),
+     (b"0 4", "width must be a positive integer, got '0'"),
+     (b"4 0", "height must be a positive integer, got '0'"),
+     (b"2 2.5", "height must be a positive integer, got '2.5'")],
+    ids=["negative", "zero-width", "zero-height", "fraction"],
+)
+def test_pgm_refuses_a_size_that_is_not_a_positive_integer(tmp_path, magic, size, message):
+    # -2 -2 used to reach NumPy's reshape error; a zero size read as an empty block
+    path = tmp_path / "size.pgm"
+    path.write_bytes(magic + b"\n" + size + b"\n255\n0 0 0 0\n")
+    with pytest.raises(ValueError, match=f"^PGM {re.escape(message)}$"):
+        io.read_block(str(path))
+
+
 def test_read_block_csv(tmp_path):
     path = tmp_path / "block.csv"
     path.write_text("1.5,2.5\n-3.0,4.0\n")
@@ -248,6 +266,9 @@ def _reference_parse_matrix_csv(text):
 
 
 def _reference_p2(payload, width, height):
+    for name, size in (("width", width), ("height", height)):
+        if size < 1:
+            raise ValueError(f"PGM {name} must be a positive integer, got '{size}'")
     samples = np.array(payload.split()[: width * height], dtype=float)
     if samples.size != width * height:
         raise ValueError("truncated PGM payload")

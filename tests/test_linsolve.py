@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import random_values
-from orthogen import linsolve
 from orthogen.core import build_even_system, build_odd_system, induct_basis
 from orthogen.errors import SingularSystemError
-from orthogen.linsolve import check, check_stacks, determinant, solve
+from orthogen.linsolve import check_steps, determinant, solve
 
 
 @pytest.mark.parametrize(
@@ -78,7 +77,7 @@ def test_shape_and_finiteness_validation():
     with pytest.raises(ValueError):
         solve([[np.nan]], [1.0])
     with pytest.raises(ValueError, match="finite"):
-        check([[np.nan]])
+        check_steps(lambda t: np.full((1, 1, 1), np.nan), 1)
     with pytest.raises(ValueError):
         solve([[1.0]], [np.inf])
     with pytest.raises(ValueError):
@@ -90,18 +89,18 @@ def test_inputs_not_mutated():
     rhs = np.array([1.0, 2.0])
     a_copy, rhs_copy = a.copy(), rhs.copy()
     solve(a, rhs)
-    check(a)
+    check_steps(lambda t: a[None], 2, 2)
     determinant(a)
     np.testing.assert_array_equal(a, a_copy)
     np.testing.assert_array_equal(rhs, rhs_copy)
 
 
 def test_pow2_scales_match_the_frexp_loop():
-    # max/scale in [0.5, 1) for every positive maximum, 1.0 for a zero one,
-    # as the per-entry math.frexp loop gave
+    # The equilibration's exponents: max/scale in [0.5, 1) for every positive
+    # maximum, 1.0 for a zero one, as the per-entry math.frexp loop gave
     maxima = np.array([0.0, 5e-324, 2.2e-308, 0.5, 1.0, 3.0, 1e300, np.finfo(float).max / 2])
     want = [2.0 ** math.frexp(v)[1] if v > 0.0 else 1.0 for v in maxima]
-    np.testing.assert_array_equal(np.ldexp(1.0, linsolve._pow2_exponents(maxima)), want)
+    np.testing.assert_array_equal(np.ldexp(1.0, np.frexp(maxima)[1]), want)
 
 
 def test_solve_of_a_huge_entry_does_not_overflow():
@@ -135,17 +134,11 @@ def test_stack_matches_systems_solved_alone_bit_for_bit():
         x = solve(a, rhs)
         assert x.shape == rhs.shape
         np.testing.assert_array_equal(x, [solve(ai, bi) for ai, bi in zip(a, rhs)])
-        assert check(a) is None
 
 
 def _error(a, rhs):
-    # The pivot-only check raises what the solve raises, word for word.
     with pytest.raises(SingularSystemError) as info:
         solve(a, rhs)
-    with pytest.raises(SingularSystemError) as checked:
-        check(a)
-    assert type(checked.value) is type(info.value)
-    assert str(checked.value) == str(info.value)
     return str(info.value)
 
 
@@ -198,8 +191,6 @@ def test_stack_rhs_of_another_shape_rejected(rhs_shape):
 def test_stack_of_non_square_or_empty_matrices_rejected(shape):
     with pytest.raises(ValueError, match="square"):
         solve(np.ones(shape), np.ones(shape[:2]))
-    with pytest.raises(ValueError, match="square"):
-        check(np.ones(shape))
 
 
 def _outcome(run):
@@ -210,91 +201,100 @@ def _outcome(run):
     return None
 
 
-def _checked_together(stacks):
-    # One elimination for every stack, each formed when it joins; records
-    # which stacks were formed, in order.
+def _checked_nested(stacks):
+    # One elimination for the stacks of steps 1..s; records which stacks
+    # were formed, in order.
     formed = []
 
-    def stack(i):
-        formed.append(i)
-        return stacks[i]
+    def moments(t):
+        formed.append(t)
+        return stacks[t]
 
-    outcome = _outcome(lambda: check_stacks([np.shape(a)[-1] for a in stacks], stack))
-    return outcome, formed
+    return _outcome(lambda: check_steps(moments, len(stacks))), formed
 
 
-def _checked_one_by_one(stacks):
+def _solved_one_by_one(stacks):
     def run():
-        for a in stacks:
-            check(a)
+        for t in range(1, len(stacks) + 1):
+            solve(stacks[t], np.ones(stacks[t].shape[:2]))
 
     return _outcome(run)
 
 
+def _with(stack, at, bad):
+    # The stack with ``bad`` as the bottom-right block of system ``at``,
+    # decoupled from the rest of that system
+    stack, d = stack.copy(), len(bad)
+    stack[at, -d:], stack[at, :, -d:] = 0.0, 0.0
+    stack[at, -d:, -d:] = bad
+    return stack
+
+
 NON_FINITE = [[1.0, 0.0, 0.0], [0.0, np.nan, 0.0], [0.0, 0.0, 1.0]]
+FAILING = [FAILS_LATE, FAILS_EARLY, ZERO_COLUMN, [[0.0]], NON_FINITE]
 
 
-def test_mixed_sizes_raise_what_checking_one_by_one_raises():
+def test_nested_steps_raise_what_solving_one_by_one_raises():
     rng = np.random.default_rng(23)
-    mixes = [[_graded_systems(rng, int(rng.integers(1, 4)), t)[0] for t in rng.integers(1, 12, 6)] for _ in range(40)]
-    assert all(_checked_together(stacks)[0] is None for stacks in mixes)
-    failing = [FAILS_LATE, FAILS_EARLY, ZERO_COLUMN, [[0.0]], [[1e-300, 1.0], [1e-300, 1.0]]]
-    for stacks in mixes:
-        for bad in failing:
-            for at in (0, 3, 6):
-                mixed = stacks[:at] + [bad] + stacks[at:]
-                assert _checked_together(mixed)[0] == _checked_one_by_one(mixed) is not None
-    # Two failures of different sizes: the first in order wins, whichever
-    # joins first
-    for pair in ([FAILS_LATE, [[0.0]]], [[[0.0]], FAILS_LATE], [ZERO_COLUMN, FAILS_EARLY]):
-        mixed = [mixes[0][0], pair[0], mixes[0][1], pair[1]]
-        assert _checked_together(mixed)[0] == _checked_one_by_one(mixed)
+    s = 6
+    for _ in range(6):
+        stacks = {t: _graded_systems(rng, 2, t)[0] for t in range(1, s + 1)}
+        assert _checked_nested(stacks) == (None, list(range(s, 0, -1)))
+        for bad in FAILING:
+            for t in range(len(bad), s + 1):
+                for at in (0, 1):
+                    failing = {**stacks, t: _with(stacks[t], at, bad)}
+                    outcome, formed = _checked_nested(failing)
+                    assert outcome == _solved_one_by_one(failing) is not None
+                    assert formed == list(range(s, 0, -1))
+    # Two failing steps: the smaller wins, although the larger joins first
+    for (t, bad), (u, worse) in [((3, FAILS_LATE), (1, [[0.0]])), ((1, [[0.0]]), (4, FAILS_LATE)),
+                                 ((5, ZERO_COLUMN), (3, FAILS_EARLY)), ((4, NON_FINITE), (6, FAILS_EARLY))]:
+        failing = {**stacks, t: _with(stacks[t], 1, bad), u: _with(stacks[u], 0, worse)}
+        assert _checked_nested(failing)[0] == _solved_one_by_one(failing) is not None
+
+
+def _eye_steps(s):
+    return {t: np.stack([np.eye(t), np.eye(t)]) for t in range(1, s + 1)}
 
 
 @pytest.mark.parametrize(
     "stacks",
     [
-        [REGULAR, [[2.0]], FAILS_EARLY, NON_FINITE, [[1.0, 2.0], [2.0, 4.0]]],
-        [REGULAR, NON_FINITE, FAILS_EARLY, [[0.0]]],
-        [[[0.0]], np.eye(5), FAILS_LATE, NON_FINITE],
-        [NON_FINITE, np.eye(4), FAILS_LATE],
-        [np.eye(2), NON_FINITE[:2]],
+        [(3, FAILS_EARLY), (4, NON_FINITE), (5, [[1.0, 2.0], [2.0, 4.0]])],
+        [(3, NON_FINITE), (4, FAILS_EARLY), (5, [[0.0]])],
+        [(1, [[0.0]]), (3, FAILS_LATE), (5, NON_FINITE)],
+        [(3, NON_FINITE), (5, FAILS_LATE)],
+        [(5, NON_FINITE)],
     ],
 )
 def test_the_first_invalid_stack_stops_the_test(stacks):
-    outcome, formed = _checked_together(stacks)
-    assert outcome == _checked_one_by_one(stacks)
-    stop = next((i for i, a in enumerate(stacks) if not np.isfinite(a).all() or np.shape(a)[0] != np.shape(a)[1]))
-    # Largest first, and nothing smaller than the stop after it is formed
-    sizes = [np.shape(a)[-1] for a in stacks]
-    assert formed == sorted(formed, key=lambda i: -sizes[i])
-    assert stop in formed
-    assert all(i < stop or sizes[i] > sizes[stop] for i in formed if i != stop)
+    # ``stacks`` places failing matrices at some of steps 1..5. A non-finite
+    # stack raises ValueError unless a smaller step fails the pivot test, as
+    # solving the steps one by one, the smallest first, stops at the first
+    # that raises; every stack is still formed once
+    placed = _eye_steps(5)
+    for t, bad in stacks:
+        placed[t] = _with(placed[t], 1, bad)
+    outcome, formed = _checked_nested(placed)
+    assert outcome == _solved_one_by_one(placed) is not None
+    assert formed == [5, 4, 3, 2, 1]
 
 
 def test_equal_sizes_join_at_the_first_column_as_one_stack():
+    # A step's systems join together and raise what each raises alone, the
+    # first failing one in order
     rng = np.random.default_rng(29)
     for _ in range(20):
-        a, _ = _graded_systems(rng, 4, int(rng.integers(1, 9)))
+        t = int(rng.integers(1, 9))
+        a, _ = _graded_systems(rng, 4, t)
         a[rng.integers(4), :, 0] = 0.0
-        assert _checked_together(list(a))[0] == _outcome(lambda: check(a)) == _checked_one_by_one(a)
+        one_by_one = _outcome(lambda: [solve(ai, np.ones(t)) for ai in a])
+        assert _outcome(lambda: check_steps(lambda _: a, t, t)) == one_by_one is not None
 
 
-def test_check_stacks_runs_one_elimination(monkeypatch):
-    calls = []
-    eliminate = linsolve._eliminate
-    monkeypatch.setattr(linsolve, "_eliminate", lambda *args: calls.append(1) or eliminate(*args))
-    check_stacks([3, 1, 2], lambda i: [REGULAR, [[1.0]], np.eye(2)][i])
-    assert calls == [1]
-    assert check_stacks([], None) is None
-
-
-@pytest.mark.parametrize("sizes", [[2, 0], [-1]])
-def test_check_stacks_rejects_sizes_below_one(sizes):
-    with pytest.raises(ValueError, match="at least one unknown"):
-        check_stacks(sizes, lambda i: np.eye(2))
-
-
-def test_check_stacks_rejects_a_stack_of_another_size():
-    with pytest.raises(ValueError, match="2 unknowns, expected 3"):
-        check_stacks([3], lambda i: np.eye(2))
+def test_check_steps_forms_every_stack_once_largest_first():
+    stacks = {1: np.ones((1, 1, 1)), 2: np.eye(2)[None], 3: np.array([REGULAR, REGULAR])}
+    assert _checked_nested(stacks) == (None, [3, 2, 1])
+    # No steps: nothing is formed
+    assert check_steps(None, 0) is None
