@@ -2,7 +2,13 @@
 
 Pretty and CSV renderings use a fixed 7 decimal places, matching the
 precision of published transform tables; JSON carries full double precision
-for lossless pipelines.
+for lossless pipelines. Each input format has one parser, and input outside
+its grammar raises a ValueError that names the fault. CSV: equal-length rows
+of comma-separated numbers as NumPy's C reader (``loadtxt``) reads them, blank
+lines skipped. JSON: ``entries`` is a list of equal-length lists of JSON
+numbers. PGM: P2 or P5 with width, height and maxval (at most 65535) positive
+decimal integers; P2 samples are unsigned decimal integers in any whitespace
+layout, and every sample is at most maxval.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from .quantize import IntMatrix
 DECIMALS = 7
 _FIXED_CELL = f"%.{DECIMALS}f"
 _NEGATIVE_ZERO = f"-0.{'0' * DECIMALS}"
-_P2_TEXT = b"0123456789 \t\n\r\x0b\x0c"  # digits and bytes.split()'s whitespace
+_P2_TEXT = b"0123456789 \t\n\r\x0b\x0c"  # digits and ASCII whitespace
 
 
 def format_fixed(value: float) -> str:
@@ -106,58 +112,43 @@ def int_matrix_to_c_header(
     )
 
 
-def _loadtxt(lines: list[str], delimiter: str | None) -> np.ndarray | None:
-    """Parse numeric lines in NumPy's C text reader, one table row per line.
-
-    Returns None where the reader refuses them (a bad cell, ragged rows), so
-    the caller's Python path can name the fault. ``lines`` must hold a
-    non-blank line: on none the reader warns that it found no data.
-    """
-    try:
-        return np.loadtxt(lines, dtype=float, comments=None, delimiter=delimiter, ndmin=2)
-    except ValueError:
-        return None
-
-
 def parse_matrix_csv(text: str) -> np.ndarray:
     lines = [line for line in map(str.strip, text.splitlines()) if line]
     if not lines:
         raise ValueError("empty matrix file")
-    # The C reader takes U+001F around a number as a space; NumPy's string
-    # cast below, which fixes what a cell means, refuses it.
-    if "\x1f" not in text:
-        table = _loadtxt(lines, ",")
-        if table is not None:
-            return table
-    rows = [line.split(",") for line in lines]
     try:
-        return np.array(rows, dtype=float)
+        return np.loadtxt(lines, dtype=float, comments=None, delimiter=",", ndmin=2)
     except ValueError:
-        # Name the first bad cell's row before calling the rows ragged.
-        for line, row in zip(lines, rows):
+        # Name the first line the reader refuses alone; if none, the rows are ragged.
+        for line in lines:
             try:
-                list(map(float, row))
+                np.loadtxt([line], dtype=float, comments=None, delimiter=",")
             except ValueError as exc:
                 raise ValueError(f"could not parse CSV row {line!r}") from exc
         raise ValueError("ragged rows in matrix file") from None
 
 
 def parse_matrix_json(text: str) -> np.ndarray:
-    data = json.loads(text)
+    # Big integers read as inf, as 1e400 does; NaN and Infinity as strings, refused below.
+    data = json.loads(text, parse_int=float, parse_constant=str)
     if not isinstance(data, dict) or "entries" not in data:
         raise ValueError("matrix JSON must be an object with an 'entries' key")
-    try:
-        return np.array(data["entries"], dtype=float)
-    except TypeError as exc:  # an object in place of a row or a number
-        raise ValueError("matrix JSON 'entries' must be a list of rows of numbers") from exc
+    rows = data["entries"]
+    # Every JSON number is a float here; NumPy would also cast a bool or a numeric string.
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(type(v) is float for v in row) for row in rows
+    ):
+        raise ValueError("matrix JSON 'entries' must be a list of rows of numbers")
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("ragged rows in matrix JSON 'entries'")
+    return np.array(rows, dtype=float)
 
 
 def read_matrix(path: str) -> np.ndarray:
     """Load a matrix from a CSV or JSON file (sniffed by content)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         return parse_matrix_json(text)
     return parse_matrix_csv(text)
 
@@ -169,44 +160,43 @@ def _read_pgm(data: bytes) -> np.ndarray:
     while len(tokens) < 4:
         if pos >= len(data):
             raise ValueError("truncated PGM header")
-        chunk = data[pos:]
-        match = re.match(rb"\s*(#[^\n]*\n|\S+)", chunk)
+        match = re.match(rb"\s*(#[^\n]*\n|\S+)", data[pos:])
         if match is None:
             raise ValueError("malformed PGM header")
         token = match.group(1)
         pos += match.end()
         if not token.startswith(b"#"):
             tokens.append(token)
-    for name, token in (("width", tokens[1]), ("height", tokens[2])):
+    for name, token in zip(("width", "height", "maxval"), tokens[1:]):
         if not token.isdigit() or int(token) == 0:
             raise ValueError(f"PGM {name} must be a positive integer, got {token.decode('latin-1')!r}")
     magic, width, height, maxval = tokens[0], int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if maxval <= 0 or maxval > 65535:
+    if maxval > 65535:
         raise ValueError(f"unsupported PGM maxval {maxval}")
     count = width * height
     if magic == b"P2":
         payload = data[pos:]
-        samples = None
-        # Digit runs are unsigned integers to any reader, so a payload of
-        # ASCII digits and whitespace alone goes to the C reader; the token
-        # path below takes every other one and names its fault.
-        if payload.strip() and not payload.translate(None, _P2_TEXT):
-            table = _loadtxt(payload.decode("ascii").splitlines(), None)
-            if table is not None:
-                samples = table.ravel()[:count]
-        if samples is None:
-            samples = np.array(payload.split()[:count], dtype=float)
+        bad = payload.translate(None, _P2_TEXT)
+        if bad:
+            raise ValueError(f"PGM P2 samples must be unsigned decimal integers, got {bad[:1]!r}")
+        samples = np.empty(0, np.int64)
+        # A blank payload reads as [0]; count= would leave a short one's tail unset.
+        if payload.strip():
+            samples = np.fromstring(payload, dtype=np.int64, sep=" ")
     elif magic == b"P5":
         pos += 1  # single whitespace byte after maxval
         dtype = np.dtype(">u2" if maxval > 255 else "u1")
         if len(data) - pos < count * dtype.itemsize:
             raise ValueError("truncated PGM payload")
-        samples = np.frombuffer(data, dtype=dtype, count=count, offset=pos).astype(float)
+        samples = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
     else:
         raise ValueError(f"unsupported PGM magic {magic!r}")
+    samples = samples[:count]
     if samples.size != count:
         raise ValueError("truncated PGM payload")
-    return samples.reshape(height, width)
+    if samples.max() > maxval:
+        raise ValueError(f"PGM sample {samples.max()} is above maxval {maxval}")
+    return samples.reshape(height, width).astype(float)
 
 
 def write_pgm(path: str, samples: np.ndarray, maxval: int = 255, binary: bool = True) -> None:

@@ -330,6 +330,53 @@ def test_json_entries_that_are_objects_exit_2(tmp_path, capsys, payload):
         assert err == "error: matrix JSON 'entries' must be a list of rows of numbers\n"
 
 
+@pytest.mark.parametrize(
+    "name, payload, message",
+    [
+        ("m.json", '{"entries": [[true, false], [false, true]]}',
+         "matrix JSON 'entries' must be a list of rows of numbers"),
+        ("m.json", '{"entries": [["1", "0"], ["0", "1"]]}',
+         "matrix JSON 'entries' must be a list of rows of numbers"),
+        ("m.json", '{"entries": [[NaN, 0], [0, 1]]}',
+         "matrix JSON 'entries' must be a list of rows of numbers"),
+        ("m.json", '{"entries": [[1, 0], [0]]}', "ragged rows in matrix JSON 'entries'"),
+        ("m.csv", "1_0,0\n0,1\n", "could not parse CSV row '1_0,0'"),
+        ("m.csv", "\uff11,0\n0,1\n", "could not parse CSV row '\uff11,0'"),
+        ("m.csv", "1,0\n0,\u0661\n", "could not parse CSV row '0,\u0661'"),
+    ],
+    ids=["json-booleans", "json-strings", "json-nan", "json-ragged", "csv-underscore",
+         "csv-fullwidth", "csv-arabic-indic"],
+)
+def test_verify_refuses_what_csv_and_json_do_not_define(tmp_path, capsys, name, payload, message):
+    # each of these but the ragged rows used to print PASS and exit 0
+    path = tmp_path / name
+    path.write_text(payload, encoding="utf-8")
+    assert run(capsys, "verify", str(path)) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "pgm, message",
+    [
+        (b"P2\n2 2\n255\n-5 1 2 3\n", "PGM P2 samples must be unsigned decimal integers, got b'-'"),
+        (b"P2\n2 2\n255\n2.5 1 2 3\n", "PGM P2 samples must be unsigned decimal integers, got b'.'"),
+        (b"P2\n2 2\n255\n1e2 1 2 3\n", "PGM P2 samples must be unsigned decimal integers, got b'e'"),
+        (b"P2\n2 2\n255\nnan 1 2 3\n", "PGM P2 samples must be unsigned decimal integers, got b'n'"),
+        (b"P2\n2 2\n1023\n0 4000 2 3\n", "PGM sample 4000 is above maxval 1023"),
+        (b"P5\n2 2\n1023\n" + bytes([0, 0, 15, 160, 0, 2, 0, 3]), "PGM sample 4000 is above maxval 1023"),
+        (b"P2\n2 2\n2.5\n1 2 3 4\n", "PGM maxval must be a positive integer, got '2.5'"),
+    ],
+    ids=["p2-negative", "p2-fraction", "p2-exponent", "p2-nan", "p2-above-maxval",
+         "p5-above-maxval", "maxval-fraction"],
+)
+def test_transform_refuses_what_pgm_does_not_define(tmp_path, capsys, pgm, message):
+    # the P2 samples and the P5 sample used to be read as they stood, and the
+    # fractional maxval exited 2 with int()'s message
+    path = tmp_path / "tile.pgm"
+    path.write_bytes(pgm)
+    argv = ("transform", "--preset", "dct", "--size", "2", "--block", str(path))
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("tolerance", ["inf", "-inf", "nan", "-1", "-1e-300"])
 def test_verify_refuses_a_tolerance_not_finite_and_non_negative(tmp_path, capsys, tolerance):
     # inf used to pass any finite matrix; nan and negative values printed FAIL
