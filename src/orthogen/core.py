@@ -39,6 +39,7 @@ NEAR_DUPLICATE_RTOL = 1e-6
 # Bound on a generated matrix's estimated entry error and orthonormality
 # residual; the 7-decimal tables and CSV output round at 5e-8.
 FIDELITY_TOL = 5e-7
+_EPS = np.finfo(float).eps
 
 
 def _validated(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -46,22 +47,21 @@ def _validated(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise DegenerateValuesError("expected a non-empty flat sequence of values")
-    finite = np.isfinite(arr)
-    bad = np.flatnonzero(~finite | (arr <= 0.0))
-    if bad.size:
-        i = bad[0]
-        if not finite[i]:
+    if not (arr.min() > 0.0 and arr.max() < np.inf):  # NaN fails both
+        i = np.flatnonzero(~((arr > 0.0) & (arr < np.inf)))[0]
+        if not np.isfinite(arr[i]):
             raise DegenerateValuesError(f"non-finite value {arr[i]} at index {i}")
         raise DegenerateValuesError(f"non-positive value {arr[i]:g} at index {i}")
     order = np.argsort(arr, kind="stable")
     ascending = arr[order]
-    repeats = order[1:][ascending[1:] == ascending[:-1]]
+    # Distinct doubles never differ by zero, nor by a relative gap that underflows.
+    gaps = (ascending[1:] - ascending[:-1]) / ascending[1:]
+    repeats = order[1:][gaps == 0.0]
     if repeats.size:
         # The repeat a scan in input order meets first.
         raise DegenerateValuesError(f"duplicate value {arr[repeats.min()]:g}")
     # Values between the members of a close pair are closer still to them,
     # so checking neighbours in sorted order warns for every close cluster.
-    gaps = (ascending[1:] - ascending[:-1]) / ascending[1:]
     for k in np.flatnonzero(gaps < NEAR_DUPLICATE_RTOL):
         i, j = sorted(order[k : k + 2])
         warnings.warn(
@@ -127,14 +127,10 @@ class OrthoMatrix:
     norm_scales: np.ndarray
 
 
-def _moments(prior: np.ndarray, powers: np.ndarray, g: int) -> np.ndarray:
+def _system(prior: np.ndarray, powers: np.ndarray, g: int) -> EquationSystem:
     # prior: the lower same-parity evaluations, one per row; powers[k] holds
     # values**k. The unknowns multiply powers g-2, g-4, ... down to g % 2.
-    return prior @ powers[g - 2 :: -2].T
-
-
-def _system(prior: np.ndarray, powers: np.ndarray, g: int) -> EquationSystem:
-    return EquationSystem(_moments(prior, powers, g), -(prior @ powers[g]))
+    return EquationSystem(prior @ powers[g - 2 :: -2].T, -(prior @ powers[g]))
 
 
 def _basis_system(basis: ReducedBasis, evals: list[np.ndarray], t: int, g: int) -> EquationSystem:
@@ -164,9 +160,9 @@ def _canonical(values: Sequence[float]) -> tuple:
     ``y * rows[g-1]``, monic of degree g; by the three-term recurrence it
     differs from p_g only by a multiple of row g-2, which the projections
     remove. Step t's even and odd moment systems, both of size t, are formed
-    from the rows below degree 2t, and the pairs of steps 1..m-1 are
-    pivot-tested in one elimination once all the rows are built, the
-    largest formed first."""
+    from the rows below degree 2t in one product, rounded as :func:`_system`
+    rounds each; the steps 1..m-1 are pivot-tested in one elimination once
+    all the rows are built, the largest formed first."""
     raw, order = _validated(values)
     unit = raw[order[-1]]
     y = raw[order] / unit
@@ -192,7 +188,9 @@ def _canonical(values: Sequence[float]) -> tuple:
     steps = m - 1 if finite.all() else min(m - 1, int(finite.argmin()) // 2)
 
     def moments(t: int) -> np.ndarray:
-        return np.array([_moments(rows[g % 2 : g : 2], powers, g) for g in (2 * t, 2 * t + 1)])
+        # Entry (parity, i, p) is row 2i + parity times powers 2(t-1-p) + parity.
+        evals = rows[: 2 * t].reshape(t, 2, m).transpose(1, 0, 2)
+        return evals @ powers.reshape(m, 2, m)[t - 1 :: -1].transpose(1, 2, 0)
 
     linsolve.check_steps(moments, steps)
     if steps < m - 1:
@@ -285,7 +283,9 @@ def fidelity(entries: np.ndarray, values: Sequence[float]) -> tuple[float, float
     vals = np.asarray(values, dtype=float)
     x = np.concatenate([-vals, vals[::-1]]) / vals.max()
     product = entries @ (x[:, None] * entries.T)
-    off = np.abs(np.triu(product, 2) + np.tril(product, -2))
+    n = len(product)
+    off = np.abs(product)
+    off.flat[:: n + 1] = off.flat[1 :: n + 1] = off.flat[n :: n + 1] = 0.0  # the band
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = off.max(axis=1)[:-1] / np.abs(np.diagonal(product, 1))
     return float(off.max()), float(ratios.max())
@@ -324,7 +324,7 @@ def assemble_matrix(values: Sequence[float]) -> OrthoMatrix:
     residual, estimate = fidelity(entries, raw)
     y = raw[order]
     gap = ((y[1:] - y[:-1]) / y[1:]).min(initial=np.inf)  # the smallest relative gap
-    estimate = max(estimate, 0.5 * np.finfo(float).eps / gap)
+    estimate = max(estimate, 0.5 * _EPS / gap)
     ortho = float(np.abs(entries @ entries.T - np.eye(n)).max())
     if not (estimate <= FIDELITY_TOL and ortho <= FIDELITY_TOL):
         raise FidelityError(

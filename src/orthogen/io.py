@@ -7,8 +7,8 @@ its grammar raises a ValueError that names the fault. CSV: equal-length rows
 of comma-separated numbers as NumPy's C reader (``loadtxt``) reads them, blank
 lines skipped. JSON: ``entries`` is a list of equal-length lists of JSON
 numbers. PGM: P2 or P5 with width, height and maxval (at most 65535) positive
-decimal integers; P2 samples are unsigned decimal integers in any whitespace
-layout, and every sample is at most maxval.
+decimal integers, which a touching "#" comment ends; P2 samples are unsigned
+decimal integers in any whitespace layout, and every sample is at most maxval.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ DECIMALS = 7
 _FIXED_CELL = f"%.{DECIMALS}f"
 _NEGATIVE_ZERO = f"-0.{'0' * DECIMALS}"
 _P2_TEXT = b"0123456789 \t\n\r\x0b\x0c"  # digits and ASCII whitespace
+# A header token and the comments touching it; as in Netpbm, "#" ends a token.
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]+)(?:#[^\n]*\n)*")
 
 
 def format_fixed(value: float) -> str:
@@ -160,13 +162,11 @@ def _read_pgm(data: bytes) -> np.ndarray:
     while len(tokens) < 4:
         if pos >= len(data):
             raise ValueError("truncated PGM header")
-        match = re.match(rb"\s*(#[^\n]*\n|\S+)", data[pos:])
+        match = _PGM_TOKEN.match(data, pos)
         if match is None:
             raise ValueError("malformed PGM header")
-        token = match.group(1)
-        pos += match.end()
-        if not token.startswith(b"#"):
-            tokens.append(token)
+        tokens.append(match.group(1))
+        pos = match.end()
     for name, token in zip(("width", "height", "maxval"), tokens[1:]):
         if not token.isdigit() or int(token) == 0:
             raise ValueError(f"PGM {name} must be a positive integer, got {token.decode('latin-1')!r}")
@@ -184,7 +184,7 @@ def _read_pgm(data: bytes) -> np.ndarray:
         if payload.strip():
             samples = np.fromstring(payload, dtype=np.int64, sep=" ")
     elif magic == b"P5":
-        pos += 1  # single whitespace byte after maxval
+        pos += 1  # single whitespace byte after maxval and the comments touching it
         dtype = np.dtype(">u2" if maxval > 255 else "u1")
         if len(data) - pos < count * dtype.itemsize:
             raise ValueError("truncated PGM payload")

@@ -12,10 +12,12 @@ coefficients come from the three-term recurrence. The test first equilibrates
 each system with power-of-two row/column scales, applied as exponents with
 ``ldexp`` so that no scale overflows; that is exact in binary64 and makes the
 pivot threshold respond to genuine rank deficiency instead of the heavy
-grading the moment systems carry. ``solve`` is the test on one stack followed
-by LAPACK's solve, and reproduces the paper's moment-system route to the
-coefficients. ``determinant`` is NumPy's LU determinant. Inputs are never
-mutated.
+grading the moment systems carry. Each row's largest magnitude is then the
+mantissa ``frexp`` returned for it, so the pivot floor, ``PIVOT_RTOL`` times
+the largest equilibrated entry, is read off the largest of those mantissas.
+``solve`` is the test on one stack followed by LAPACK's solve, and reproduces
+the paper's moment-system route to the coefficients. ``determinant`` is
+NumPy's LU determinant. Inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -53,21 +55,20 @@ def check_steps(moments: Callable[[int], np.ndarray], last: int, first: int = 1)
     """
     if first > last:
         return
-    # Per system, in joining order: its step, whether its stack is not
-    # finite, whether it has a zero column, and its pivot floor.
-    step, nonfinite, zero_column, floor = [], [], [], []
+    # Per join, (step, stack size, whether the stack is not finite); per system,
+    # in joining order, whether it has a zero column and its pivot floor.
+    joins, zero_column, floor = [], [], []
     pivots = []  # per column, the pivots of the systems present
 
     def join(t: int) -> np.ndarray:
         a = moments(t)
-        step.append(np.full(len(a), t))
-        nonfinite.append(np.full(len(a), not np.isfinite(a).all()))
-        col_maxima = np.abs(a).max(axis=1)
+        col_maxima = np.abs(a).max(axis=1)  # NaN or inf where a column is not finite
+        joins.append((t, len(a), not col_maxima.max() < np.inf))
         a = np.ldexp(a, -np.frexp(col_maxima)[1][:, None, :])
-        a = np.ldexp(a, -np.frexp(np.abs(a).max(axis=2))[1][:, :, None])
+        mantissas, exponents = np.frexp(np.abs(a).max(axis=2))
         zero_column.append((col_maxima == 0.0).any(axis=1))
-        floor.append(PIVOT_RTOL * np.abs(a).max(axis=(1, 2)))
-        return a
+        floor.append(PIVOT_RTOL * mantissas.max(axis=1))
+        return np.ldexp(a, -exponents[:, :, None])
 
     # A failing system runs on into zero pivots and NaN, a non-finite one
     # into NaN; neither touches another system. Each is refused after the
@@ -94,13 +95,12 @@ def check_steps(moments: Callable[[int], np.ndarray], last: int, first: int = 1)
     # pivots[j] holds the pivots of the systems present at column j, the
     # first of them in joining order; the columns before a system joined hold
     # inf, which passes the test.
-    step = np.concatenate(step)
+    joined = np.array(joins)
+    step, _, nonfinite = np.repeat(joined, joined[:, 1], axis=0).T
     start = last - step
     table = np.full((last, step.size), np.inf)
     table[start <= np.arange(last)[:, None]] = np.concatenate(pivots)
-    floor = np.concatenate(floor)
-    nonfinite = np.concatenate(nonfinite)
-    zero_column = np.concatenate(zero_column)
+    floor, zero_column = np.concatenate(floor), np.concatenate(zero_column)
     bad = (np.abs(table) < floor) | (table == 0.0)
     failed = np.flatnonzero(nonfinite | zero_column | bad.any(axis=0))
     if failed.size:

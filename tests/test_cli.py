@@ -377,6 +377,17 @@ def test_transform_refuses_what_pgm_does_not_define(tmp_path, capsys, pgm, messa
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+def test_transform_reads_a_comment_touching_maxval(tmp_path, capsys):
+    # "255#c" used to be refused as a maxval that is not a positive integer
+    path = tmp_path / "tile.pgm"
+    path.write_bytes(b"P2\n2 2\n255#c\n1 2 3 4\n")
+    argv = ("transform", "--preset", "dct", "--size", "2", "--block", str(path))
+    status, out, err = run(capsys, *argv)
+    assert (status, err) == (0, "")
+    path.write_bytes(b"P2\n2 2\n255\n1 2 3 4\n")
+    assert run(capsys, *argv) == (0, out, "")
+
+
 @pytest.mark.parametrize("tolerance", ["inf", "-inf", "nan", "-1", "-1e-300"])
 def test_verify_refuses_a_tolerance_not_finite_and_non_negative(tmp_path, capsys, tolerance):
     # inf used to pass any finite matrix; nan and negative values printed FAIL

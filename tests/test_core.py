@@ -617,26 +617,62 @@ def test_tight_clusters_the_pivot_test_passes_are_refused_or_exact(values):
     assert np.abs(entries - exact_matrix(values)).max() <= FIDELITY_TOL
 
 
-def _sequential_canonical(values):
-    # The induction with every moment system solved alone through 2-D solve,
-    # where _canonical stacks the even and odd systems of each degree pair
-    # and runs only the pivot test: the comparison pins that the pivot test
-    # refuses exactly what the full solve refuses.
+def _sequential_induction(values, solve_each=True):
+    # The induction with every moment system formed and solved alone through
+    # 2-D solve, where _canonical stacks the even and odd systems of each
+    # step and runs only the pivot test: the comparison pins that the pivot
+    # test refuses exactly what the full solve refuses. Also returns the
+    # systems' matrices, per degree from 2.
     raw, order = core._validated(values)
     unit = raw[order[-1]]
     y = raw[order] / unit
     m = y.size
     powers = y ** np.arange(2 * m)[:, None]
     rows = powers.copy()
-    for g in range(2, 2 * m):
-        prior = rows[g % 2 : g : 2]
-        solve(*core._system(prior, powers, g))
-        v = y * rows[g - 1]
-        energy = np.einsum("ij,ij->i", prior, prior)
-        for _ in range(2):
-            v = v - ((prior @ v) / energy) @ prior
-        rows[g] = v
-    return raw, order, unit, rows
+    systems = []
+    with np.errstate(all="ignore"):
+        for g in range(2, 2 * m):
+            prior = rows[g % 2 : g : 2]
+            systems.append(core._system(prior, powers, g))
+            if solve_each:
+                finite = np.isfinite(rows[:g]).all(axis=1)
+                if g % 2 == 0 and not finite.all():
+                    # As _canonical: no step whose systems would hold a non-finite row is solved.
+                    raise ZeroRowError(
+                        f"cannot build row {finite.argmin()}: a lower row's samples are all zero "
+                        "or too small to square in double"
+                    )
+                solve(*systems[-1])
+            v = y * rows[g - 1]
+            energy = np.einsum("ij,ij->i", prior, prior)
+            for _ in range(2):
+                v = v - ((prior @ v) / energy) @ prior
+            rows[g] = v
+    return (raw, order, unit, rows), [system.matrix for system in systems]
+
+
+def _sequential_canonical(values):
+    return _sequential_induction(values)[0]
+
+
+def _stacked_moments(values, monkeypatch):
+    """Every step's stack of moment systems as _canonical forms it for the
+    pivot test, smallest first."""
+    stacks = []
+    check_steps = linsolve.check_steps
+
+    def record(moments, last):
+        stacks.extend(moments(t) for t in range(1, last + 1))
+        check_steps(moments, last)
+
+    with monkeypatch.context() as patched, warnings.catch_warnings():
+        patched.setattr(linsolve, "check_steps", record)
+        warnings.simplefilter("ignore", ConditioningWarning)
+        try:
+            core._canonical(values)
+        except ArithmeticError:
+            pass
+    return stacks
 
 
 def _outputs(values):
@@ -667,13 +703,25 @@ def _bit_identity_sets(kind):
         return [preset_values(kind, n) for n in (*range(2, 65, 2), 128)]
     rng = np.random.default_rng(77)
     edge = [[1, 1.0000000000001, 1.0000000000002, 1.0000000000003], [1e-200, 1e-100, 1]]
-    return [random_values(rng, int(rng.integers(1, 33))) for _ in range(50)] + edge
+    sets = [random_values(rng, int(rng.integers(1, 33))) for _ in range(50)] + edge
+    sets += [rng.uniform(0.001, 1.0, m) for m in (40, 48, 56, 64)]
+    # Clustered within relative spreads 1e-3..1e-11, and spread over e^+-300
+    sets += [rng.uniform(0.1, 10.0) * (1.0 + spread * rng.uniform(0.0, 1.0, int(rng.integers(2, 10))))
+             for spread in np.logspace(-3, -11, 9)]
+    return sets + [np.exp(rng.uniform(-300.0, 300.0, int(rng.integers(2, 17)))) for _ in range(12)]
 
 
 @pytest.mark.parametrize("kind", ["dct", "dtt", "triangular", "prime", "fibonacci", "random"])
 def test_stacked_solves_match_the_sequential_induction_bit_for_bit(kind, monkeypatch):
     value_sets = _bit_identity_sets(kind)
     stacked = [_outputs(values) for values in value_sets]
+    for values in value_sets:
+        # Each step's two systems, formed in one product, as _system forms each alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            alone = _sequential_induction(values, solve_each=False)[1]
+        for t, stack in enumerate(_stacked_moments(values, monkeypatch), 1):
+            assert stack.tobytes() == np.array(alone[2 * t - 2 : 2 * t]).tobytes(), (values, t)
     monkeypatch.setattr(core, "_canonical", _sequential_canonical)
     for values, got in zip(value_sets, stacked):
         assert got == _outputs(values), values

@@ -208,6 +208,32 @@ def test_pgm_with_comments(tmp_path):
     np.testing.assert_array_equal(io.read_block(str(path)), [[0, 1], [2, 3]])
 
 
+# Comments touching width, height and maxval, as Netpbm allows them
+_COMMENTED_HEADERS = [
+    "{magic}\n{w}#w\n{h}#h\n{m}#m\n",
+    "{magic}#c\n{w}#w\n {h}\t#h\n{m}#m\n#more\r\n",
+    "{magic} {w}#w\n#c\n{h} {m}#m\n",
+]
+
+
+@pytest.mark.parametrize("header", _COMMENTED_HEADERS, ids=["touching", "comment-lines", "one-line"])
+@pytest.mark.parametrize("maxval", [255, 1023])
+@pytest.mark.parametrize("binary", [False, True])
+def test_pgm_comments_end_header_tokens(tmp_path, binary, maxval, header):
+    # "#" ends a header token, and a comment touching maxval belongs to the
+    # header: the one whitespace byte before a P5 raster follows it
+    samples = np.random.default_rng(43).integers(0, maxval + 1, (3, 2))
+    path = tmp_path / "spaced.pgm"
+    io.write_pgm(str(path), samples, maxval=maxval, binary=binary)
+    spaced = path.read_bytes()
+    magic = "P5" if binary else "P2"
+    plain = f"{magic}\n2 3\n{maxval}\n".encode()
+    assert spaced.startswith(plain)
+    commented = header.format(magic=magic, w=2, h=3, m=maxval).encode() + b"\n" + spaced[len(plain):]
+    path.write_bytes(commented)
+    np.testing.assert_array_equal(io.read_block(str(path)), samples)
+
+
 def test_pgm_errors(tmp_path):
     bad_magic = tmp_path / "bad.pgm"
     bad_magic.write_bytes(b"P7\n2 2\n255\n....")

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import random_values
+from orthogen import core, linsolve
 from orthogen.core import build_even_system, build_odd_system, induct_basis
-from orthogen.errors import SingularSystemError
-from orthogen.linsolve import check_steps, determinant, solve
+from orthogen.errors import ConditioningWarning, SingularSystemError
+from orthogen.linsolve import PIVOT_RTOL, check_steps, determinant, solve
+from test_core import TIGHT_CLUSTERS
 
 
 @pytest.mark.parametrize(
@@ -298,3 +300,74 @@ def test_check_steps_forms_every_stack_once_largest_first():
     assert _checked_nested(stacks) == (None, [3, 2, 1])
     # No steps: nothing is formed
     assert check_steps(None, 0) is None
+
+
+def _plain_pivot_test(a):
+    """The pivot test on one system, written out alone: power-of-two column,
+    then row, scales by frexp and ldexp; partial pivoting; the zero-column
+    check; and a floor of PIVOT_RTOL times the largest scaled entry."""
+    a = np.array(a, dtype=float)
+    t = len(a)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    for j in range(t):
+        top = max(abs(v) for v in a[:, j])
+        if top == 0.0:
+            raise SingularSystemError("zero column: matrix is singular")
+        a[:, j] = [math.ldexp(v, -math.frexp(top)[1]) for v in a[:, j]]
+    for i in range(t):
+        a[i] = [math.ldexp(v, -math.frexp(max(abs(v) for v in a[i]))[1]) for v in a[i]]
+    floor = PIVOT_RTOL * max(abs(v) for v in a.ravel())
+    for j in range(t):
+        p = max(range(j, t), key=lambda i: (abs(a[i, j]), -i))
+        a[[j, p]] = a[[p, j]]
+        pivot = a[j, j]
+        if abs(pivot) < floor or pivot == 0.0:
+            raise SingularSystemError(f"pivot {pivot:.3e} in column {j} below threshold {floor:.3e}")
+        for i in range(j + 1, t):
+            a[i, j + 1 :] -= a[i, j] / pivot * a[j, j + 1 :]
+
+
+def _plain_outcome(steps):
+    # The plain test on every system of the steps in turn, the smallest step first
+    return _outcome(lambda: [_plain_pivot_test(a) for stack in steps for a in stack])
+
+
+@pytest.mark.parametrize("bad", [FAILS_LATE, FAILS_EARLY, ZERO_COLUMN], ids=["late", "early", "zero-column"])
+def test_pivot_test_raises_what_a_plain_elimination_raises(bad):
+    # As they stand, then graded over many decades, which can fail REGULAR too
+    rng = np.random.default_rng(31)
+    stacks = [np.array([REGULAR, bad])]
+    stacks += [stacks[0] * 10.0 ** rng.uniform(-30.0, 30.0, (2, 3, 1)) for _ in range(5)]
+    stacks += [stacks[0] * 10.0 ** rng.uniform(-30.0, 30.0, (2, 1, 3)) for _ in range(5)]
+    for stack in stacks:
+        want = _plain_outcome([stack])
+        assert want is not None
+        assert _outcome(lambda: check_steps(lambda _: stack, 3, 3)) == want
+        assert _outcome(lambda: solve(stack, np.ones((2, 3)))) == want
+
+
+# Four values packed within 3e-13, and the tight clusters only the pivot test refuses
+@pytest.mark.parametrize("values", [[1, 1.0000000000001, 1.0000000000002, 1.0000000000003], *TIGHT_CLUSTERS])
+def test_moment_systems_fail_as_a_plain_elimination_fails(values, monkeypatch):
+    # The rows come from _canonical with the pivot test switched off; each
+    # step's systems are then formed alone by core._system
+    monkeypatch.setattr(linsolve, "check_steps", lambda moments, last: None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        raw, order, unit, rows = core._canonical(values)
+    monkeypatch.undo()
+    y = raw[order] / unit
+    m = y.size
+    powers = y ** np.arange(2 * m)[:, None]
+    steps = [
+        np.array([core._system(rows[g % 2 : g : 2], powers, g).matrix for g in (2 * t, 2 * t + 1)])
+        for t in range(1, m)
+    ]
+    want = _plain_outcome(steps)
+    assert want is not None
+    assert _outcome(lambda: check_steps(lambda t: steps[t - 1], m - 1)) == want
+    assert _outcome(lambda: [solve(a, np.ones(a.shape[:2])) for a in steps]) == want
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        assert _outcome(lambda: core.assemble_matrix(values)) == want
