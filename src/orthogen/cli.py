@@ -1,20 +1,21 @@
 """Command-line interface: generate, verify, quantize, and transform.
 
 Exit codes: 0 success, 1 verification check failed, 2 invalid input
-(values, files, sizes, flags, a transform matrix that is not orthonormal),
-3 numeric failure (singular system, or a generated matrix whose estimated
-entry error or orthonormality residual is above 5e-7 or not finite).
+(values, files, sizes, flags, a transform matrix that is not orthonormal)
+or output that cannot be written, 3 numeric failure (singular system, or a
+generated matrix whose estimated entry error or orthonormality residual is
+above 5e-7 or not finite).
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
+import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,14 +34,13 @@ EXIT_NUMERIC_FAILURE = 3
 DEFAULT_TOLERANCE = 1e-9
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Outcome of checking a matrix file for orthonormality and layout."""
 
     orthogonality_residual: float
     row_norm_max_dev: float
     parity_ok: bool
-    condition_warnings: list[str] = field(default_factory=list)
+    condition_warnings: tuple[str, ...] = ()
     worst_pair: tuple[int, int] = (0, 0)
 
 
@@ -64,17 +64,14 @@ def verify_matrix(entries: np.ndarray, tolerance: float = DEFAULT_TOLERANCE) -> 
     row_norms = np.linalg.norm(entries, axis=1)
     row_dev = float(np.abs(row_norms - 1.0).max())
 
-    notes: list[str] = []
     parity_ok = False
     if n % 2 == 0:
         signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
         mirror_gap = np.abs(entries - signs[:, None] * entries[:, ::-1]).max()
         parity_ok = bool(mirror_gap <= max(tolerance, 1e-12))
-    if not parity_ok:
-        notes.append(
-            "matrix does not carry the mirrored half-row layout of generated "
-            "matrices (informational)"
-        )
+    notes = () if parity_ok else (
+        "matrix does not carry the mirrored half-row layout of generated matrices (informational)",
+    )
     return VerifyReport(
         orthogonality_residual=residual,
         row_norm_max_dev=row_dev,
@@ -217,6 +214,7 @@ def _cmd_transform(args) -> int:
         result = inverse_2d(entries, block)
     report = ""
     if args.keep is not None:
+        import json  # as in io: only the calls that write JSON import it
         # Before any output, so an invalid --keep writes nothing.
         retained, mse = compaction_report(entries, block, args.keep)
         fields = {"n": int(entries.shape[0]), "keep": args.keep,
@@ -286,11 +284,22 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """Process entry (``python -m orthogen.cli`` and the ``orthogen`` script)."""
-    # Collections during main and at exit then skip the import-time objects,
-    # most of them NumPy's. Not in main, which callers also run in process.
+    """Process entry (``python -m orthogen.cli`` and the ``orthogen`` script):
+    :func:`main`, then flush and ``os._exit``, skipping the interpreter's
+    teardown; output that cannot be flushed exits 2."""
+    # Collections during main then skip the import-time objects, most of them
+    # NumPy's. Not in main, which callers also run in process.
     gc.freeze()
-    sys.exit(main())
+    code = main()
+    try:
+        if sys.stdout:  # None when the process started with stdout closed
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_BAD_INPUT
+    if sys.stderr:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -42,8 +41,9 @@ FIDELITY_TOL = 5e-7
 _EPS = np.finfo(float).eps
 
 
-def _validated(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`validate_values`, also returning the ascending order of the values."""
+def _validated(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`validate_values`, also returning the ascending order of the
+    values and the relative gaps between neighbours in that order."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise DegenerateValuesError("expected a non-empty flat sequence of values")
@@ -69,7 +69,7 @@ def _validated(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
             f"of {gaps[k]:.2e}; the coefficient systems will be nearly singular",
             ConditioningWarning,
         )
-    return arr, order
+    return arr, order, gaps
 
 
 def validate_values(values: Sequence[float]) -> np.ndarray:
@@ -90,8 +90,7 @@ class EquationSystem(NamedTuple):
     rhs: np.ndarray
 
 
-@dataclass(frozen=True)
-class ReducedBasis:
+class ReducedBasis(NamedTuple):
     """Monic even/odd polynomial family evaluated on the generator values.
 
     ``even_evals[t][k]`` is the degree-2t monic polynomial at ``values[k]``;
@@ -111,8 +110,7 @@ class ReducedBasis:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class OrthoMatrix:
+class OrthoMatrix(NamedTuple):
     """An assembled 2m x 2m orthonormal matrix plus its provenance.
 
     ``norm_scales[i]`` is the positive factor that scaled row i's monic
@@ -154,33 +152,38 @@ def build_odd_system(basis: ReducedBasis, t: int) -> EquationSystem:
 
 
 def _canonical(values: Sequence[float]) -> tuple:
-    """``(values, order, unit, rows)``: the validated values, their ascending
-    order and maximum, and per degree g < 2m the monic polynomial's
-    evaluations at ``values[order] / unit`` (row g). Row g starts as
+    """``(values, order, unit, rows, energy, gap)``: the validated values,
+    their ascending order and maximum, per degree g < 2m the monic
+    polynomial's evaluations at ``values[order] / unit`` (row g) and their
+    sum of squares (``energy[g]``), and the values' smallest relative gap
+    (inf for one value). Row g starts as
     ``y * rows[g-1]``, monic of degree g; by the three-term recurrence it
     differs from p_g only by a multiple of row g-2, which the projections
     remove. Step t's even and odd moment systems, both of size t, are formed
     from the rows below degree 2t in one product, rounded as :func:`_system`
     rounds each; the steps 1..m-1 are pivot-tested in one elimination once
     all the rows are built, the largest formed first."""
-    raw, order = _validated(values)
+    raw, order, gaps = _validated(values)
     unit = raw[order[-1]]
     y = raw[order] / unit
     m = y.size
     powers = y ** np.arange(2 * m)[:, None]
     rows = powers.copy()  # rows 0 and 1 are already the monic 1 and y
+    energy = np.empty(2 * m)
     # Rows past a step the pivot test refuses can be garbage, or inf and NaN;
     # they are built quietly and never published.
     with np.errstate(all="ignore"):
+        energy[:2] = np.einsum("ij,ij->i", rows[:2], rows[:2])
         for g in range(2, 2 * m):
             # Project the prior evaluations out of the three-term start, twice
             # (the usual reorthogonalization safeguard).
             prior = rows[g % 2 : g : 2]
+            prior_energy = energy[g % 2 : g : 2]
             v = y * rows[g - 1]
-            energy = np.einsum("ij,ij->i", prior, prior)
             for _ in range(2):
-                v = v - ((prior @ v) / energy) @ prior
+                v = v - ((prior @ v) / prior_energy) @ prior
             rows[g] = v
+            energy[g] = np.einsum("j,j->", v, v)  # rounds as its row of a 2-D einsum
     # A row goes non-finite only when a lower row's sum of squares, which
     # divides its projection, underflows; the steps whose systems would hold
     # it are not tested.
@@ -198,7 +201,7 @@ def _canonical(values: Sequence[float]) -> tuple:
             f"cannot build row {finite.argmin()}: a lower row's samples are all zero "
             "or too small to square in double"
         )
-    return raw, order, unit, rows
+    return raw, order, unit, rows, energy, gaps.min(initial=np.inf)
 
 
 def _in_value_units(x: np.ndarray, unit: float, k: np.ndarray) -> np.ndarray:
@@ -224,13 +227,12 @@ def induct_basis(values: Sequence[float]) -> ReducedBasis:
     evaluation or coefficient outside the double range reads +/-inf or 0.0
     (values near 1e20 at n = 32 reach inf).
     """
-    raw, order, unit, rows = _canonical(values)
+    raw, order, unit, rows, energy, _ = _canonical(values)
     # p_g = y p_{g-1} - (E_{g-1} / E_{g-2}) p_{g-2}, E the rows' sums of
     # squares: the trailing coefficients of y p_{g-1} (with a zero constant
     # term for even g) minus the ratio times p_{g-2}'s, leading 1 included.
     # The coefficients alternate in sign with the power, so the two terms agree
     # in sign and nothing cancels.
-    energy = np.einsum("ij,ij->i", rows, rows)
     coefs = [np.empty(0), np.empty(0)]
     for g in range(2, rows.shape[0]):
         lower = energy[g - 1] / energy[g - 2] * np.append(1.0, coefs[g - 2])
@@ -312,7 +314,7 @@ def assemble_matrix(values: Sequence[float]) -> OrthoMatrix:
     least 0.5 eps over that gap; the 0.5 is measured, not proven (on 7,199
     seeded clustered and spread sets the error never passed 0.24 eps over it).
     """
-    raw, order, unit, rows = _canonical(values)
+    raw, order, unit, rows, _, gap = _canonical(values)
     m = raw.size
     n = 2 * m
     half = np.empty((n, m))
@@ -322,8 +324,6 @@ def assemble_matrix(values: Sequence[float]) -> OrthoMatrix:
     entries[1::2, :m] *= -1.0
     entries[:, m:] = half[:, ::-1]
     residual, estimate = fidelity(entries, raw)
-    y = raw[order]
-    gap = ((y[1:] - y[:-1]) / y[1:]).min(initial=np.inf)  # the smallest relative gap
     estimate = max(estimate, 0.5 * _EPS / gap)
     ortho = float(np.abs(entries @ entries.T - np.eye(n)).max())
     if not (estimate <= FIDELITY_TOL and ortho <= FIDELITY_TOL):

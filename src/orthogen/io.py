@@ -13,7 +13,6 @@ decimal integers in any whitespace layout, and every sample is at most maxval.
 
 from __future__ import annotations
 
-import json
 import re
 
 import numpy as np
@@ -77,6 +76,9 @@ def int_matrix_to_pretty(entries: np.ndarray) -> str:
 
 
 def ortho_matrix_to_json(matrix: OrthoMatrix) -> str:
+    # json is imported where JSON is read or written: a CLI call that neither
+    # reads nor writes it does not pay for the import.
+    import json
     payload = {
         "n": matrix.n,
         "values": list(matrix.values),
@@ -88,6 +90,7 @@ def ortho_matrix_to_json(matrix: OrthoMatrix) -> str:
 
 
 def int_matrix_to_json(im: IntMatrix) -> str:
+    import json
     payload = {
         "n": im.n,
         "values": list(im.source.values),
@@ -131,6 +134,7 @@ def parse_matrix_csv(text: str) -> np.ndarray:
 
 
 def parse_matrix_json(text: str) -> np.ndarray:
+    import json
     # Big integers read as inf, as 1e400 does; NaN and Infinity as strings, refused below.
     data = json.loads(text, parse_int=float, parse_constant=str)
     if not isinstance(data, dict) or "entries" not in data:

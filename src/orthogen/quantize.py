@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -12,8 +12,7 @@ from .core import OrthoMatrix
 AUTO_SCALE = "auto"
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(NamedTuple):
     """A scaled-and-rounded integer matrix together with its source."""
 
     n: int

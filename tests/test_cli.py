@@ -1,3 +1,4 @@
+import errno
 import gc
 import json
 import os
@@ -184,16 +185,71 @@ def test_generate_rows_that_underflow_exit_3(capsys):
     assert err.startswith("error: cannot build row 8") and len(err.splitlines()) == 1
 
 
+def run_module(*argv, stdout=subprocess.PIPE, **kwargs):
+    """``python -m orthogen.cli`` in a fresh process without PYTHONUNBUFFERED,
+    so its stdout is block-buffered as in a plain shell."""
+    env = dict(os.environ, PYTHONPATH=str(Path(orthogen.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "orthogen.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=60, **kwargs)
+
+
 def test_module_entry_matches_in_process_main(capsys):
     argv = ["generate", "--preset", "dct", "--size", "8"]
     status, out, _ = run(capsys, *argv)
-    env = dict(os.environ, PYTHONPATH=str(Path(orthogen.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "orthogen.cli", *argv], capture_output=True, env=env, timeout=60
-    )
+    proc = run_module(*argv)
     assert proc.returncode == status == 0
     assert proc.stdout == out.encode("utf-8")
     assert proc.stderr == b""
+
+
+# run() flushes and ends the process itself: an output larger than the pipe
+# and stdio buffers (dct n=128 CSV is about 170 KB), one written through
+# --out, and the exits for invalid input and for a numeric failure.
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["generate", "--preset", "dct", "--size", "128", "--format", "csv"], 0),
+        (["quantize", "--preset", "dtt", "--size", "8", "--format", "c-header", "--out", "{out}"], 0),
+        (["generate", "--preset", "dct", "--size", "7"], 2),
+        (["generate", "--values", UNDERFLOWING], 3),
+    ],
+)
+def test_module_entry_exits_as_main_returns(tmp_path, capsys, argv, code):
+    status, out, err = run(capsys, *(a.format(out=tmp_path / "main.h") for a in argv))
+    proc = run_module(*(a.format(out=tmp_path / "module.h") for a in argv))
+    assert proc.returncode == status == code
+    assert proc.stdout == out.encode("utf-8")
+    assert proc.stderr == err.encode("utf-8")
+    assert (code == 0) == (err == "")
+    if "--out" in argv:
+        assert (tmp_path / "module.h").read_bytes() == (tmp_path / "main.h").read_bytes() != b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_module_entry_exits_2_when_stdout_cannot_be_flushed():
+    # The CSV fits stdout's buffer, so the only write to fail is run()'s flush.
+    with open("/dev/full", "wb") as full:
+        proc = run_module("generate", "--preset", "dct", "--size", "2", "--format", "csv", stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr.decode().splitlines() == [f"error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}"]
+
+
+def test_module_entry_runs_with_stdout_closed(tmp_path):
+    # Python then sets sys.stdout to None, and print() writes nothing.
+    path = tmp_path / "dtt4.csv"
+    assert main(["generate", "--preset", "dtt", "--size", "4", "--format", "csv", "--out", str(path)]) == 0
+    proc = run_module("verify", str(path), "--tolerance", "5e-7", stdout=None, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_cli_import_loads_neither_dataclasses_nor_json():
+    env = dict(os.environ, PYTHONPATH=str(Path(orthogen.__file__).parents[1]))
+    code = "import sys; before = set(sys.modules); import orthogen.cli; print(*set(sys.modules) - before)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    loaded = proc.stdout.split()
+    assert "orthogen.cli" in loaded
+    assert "dataclasses" not in loaded and "json" not in loaded
 
 
 def test_main_leaves_the_gc_freeze_count_unchanged(capsys):

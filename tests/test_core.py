@@ -478,12 +478,13 @@ def test_assemble_refuses_a_wrong_matrix(monkeypatch):
     canonical = core._canonical
 
     def rotated(values):
-        raw, order, unit, rows = canonical(values)
+        built = canonical(values)
+        rows = built[3]
         norms = np.linalg.norm(rows[[1, 3]], axis=1)
         one, three = rows[[1, 3]] / norms[:, None]
         c, s = np.cos(1e-3), np.sin(1e-3)
         rows[1], rows[3] = norms[0] * (c * one - s * three), norms[1] * (s * one + c * three)
-        return raw, order, unit, rows
+        return built
 
     monkeypatch.setattr(core, "_canonical", rotated)
     with pytest.raises(FidelityError) as info:
@@ -507,9 +508,9 @@ def test_assemble_refuses_a_non_orthonormal_matrix(monkeypatch):
     canonical = core._canonical
 
     def skewed(values):
-        raw, order, unit, rows = canonical(values)
-        rows[2] += 1e-3 * rows[0]
-        return raw, order, unit, rows
+        built = canonical(values)
+        built[3][2] += 1e-3 * built[3][0]
+        return built
 
     monkeypatch.setattr(core, "_canonical", skewed)
     with pytest.raises(FidelityError, match=r"estimated entry error \S+e-1\d .*orthonormality residual \S+e-03"):
@@ -621,9 +622,11 @@ def _sequential_induction(values, solve_each=True):
     # The induction with every moment system formed and solved alone through
     # 2-D solve, where _canonical stacks the even and odd systems of each
     # step and runs only the pivot test: the comparison pins that the pivot
-    # test refuses exactly what the full solve refuses. Also returns the
-    # systems' matrices, per degree from 2.
-    raw, order = core._validated(values)
+    # test refuses exactly what the full solve refuses. Each degree sums the
+    # lower rows' squares afresh, and the sums and the smallest gap returned
+    # are computed afresh, where _canonical keeps each row's sum and
+    # _validated's gaps. Also returns the systems' matrices, per degree from 2.
+    raw, order, _ = core._validated(values)
     unit = raw[order[-1]]
     y = raw[order] / unit
     m = y.size
@@ -648,7 +651,10 @@ def _sequential_induction(values, solve_each=True):
             for _ in range(2):
                 v = v - ((prior @ v) / energy) @ prior
             rows[g] = v
-    return (raw, order, unit, rows), [system.matrix for system in systems]
+        energy = np.einsum("ij,ij->i", rows, rows)
+    ascending = raw[order]
+    gap = ((ascending[1:] - ascending[:-1]) / ascending[1:]).min(initial=np.inf)
+    return (raw, order, unit, rows, energy, gap), [system.matrix for system in systems]
 
 
 def _sequential_canonical(values):

@@ -355,7 +355,7 @@ def test_moment_systems_fail_as_a_plain_elimination_fails(values, monkeypatch):
     monkeypatch.setattr(linsolve, "check_steps", lambda moments, last: None)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
-        raw, order, unit, rows = core._canonical(values)
+        raw, order, unit, rows, _, _ = core._canonical(values)
     monkeypatch.undo()
     y = raw[order] / unit
     m = y.size
