@@ -14,6 +14,11 @@ is monic of degree g, projecting the lower same-parity rows out of it leaves
 p_g, and :func:`induct_basis` reads the coefficients off the same
 recurrence. All of it runs in double.
 
+Each row mirrors its half-row at +y, so :func:`fidelity` checks the matrix
+on m x m blocks of the even and odd unit half-rows E and O: C = 2 E diag(y)
+O^T, lower bidiagonal for the values' own matrix, and the Grams 2 E E^T - I
+and 2 O O^T - I; :func:`assemble_matrix` forms the entries once they pass.
+
 Matrix layout: column j < m holds the samples at -y_j (input order) and
 column m + j holds the samples at +y_{m-1-j}, so the sample sequence runs
 monotonically when the values are given in descending order. Consequently
@@ -125,18 +130,14 @@ class OrthoMatrix(NamedTuple):
     norm_scales: np.ndarray
 
 
-def _system(prior: np.ndarray, powers: np.ndarray, g: int) -> EquationSystem:
-    # prior: the lower same-parity evaluations, one per row; powers[k] holds
-    # values**k. The unknowns multiply powers g-2, g-4, ... down to g % 2.
-    return EquationSystem(prior @ powers[g - 2 :: -2].T, -(prior @ powers[g]))
-
-
 def _basis_system(basis: ReducedBasis, evals: list[np.ndarray], t: int, g: int) -> EquationSystem:
-    # The degree-g system of one family, on the basis's own values.
+    # The degree-g system of one family, on the basis's own values; the
+    # unknowns multiply powers g-2, g-4, ... down to g % 2.
     if not 1 <= t <= basis.m - 1:
         raise ValueError(f"degree index t={t} outside 1..{basis.m - 1}")
+    prior = np.asarray(evals[:t])
     powers = basis.values ** np.arange(g + 1)[:, None]
-    return _system(np.asarray(evals[:t]), powers, g)
+    return EquationSystem(prior @ powers[g - 2 :: -2].T, -(prior @ powers[g]))
 
 
 def build_even_system(basis: ReducedBasis, t: int) -> EquationSystem:
@@ -152,16 +153,16 @@ def build_odd_system(basis: ReducedBasis, t: int) -> EquationSystem:
 
 
 def _canonical(values: Sequence[float]) -> tuple:
-    """``(values, order, unit, rows, energy, gap)``: the validated values,
-    their ascending order and maximum, per degree g < 2m the monic
-    polynomial's evaluations at ``values[order] / unit`` (row g) and their
-    sum of squares (``energy[g]``), and the values' smallest relative gap
-    (inf for one value). Row g starts as
-    ``y * rows[g-1]``, monic of degree g; by the three-term recurrence it
-    differs from p_g only by a multiple of row g-2, which the projections
-    remove. Step t's even and odd moment systems, both of size t, are formed
-    from the rows below degree 2t in one product, rounded as :func:`_system`
-    rounds each; the steps 1..m-1 are pivot-tested in one elimination once
+    """``(values, order, unit, y, rows, energy, gap)``: the validated values,
+    their ascending order and maximum, the points y = values[order] / unit,
+    per degree g < 2m the monic polynomial's evaluations at y (row g) and
+    their sum of squares (``energy[g]``), and the values' smallest relative
+    gap (inf for one value). Row g starts as ``y * rows[g-1]``, monic of
+    degree g; by the three-term recurrence it differs from p_g only by a
+    multiple of row g-2, which the projections remove. Step t's even and odd
+    moment systems, both of size t, are formed from the rows below degree 2t
+    in one product, rounded as :func:`build_even_system` and its odd twin
+    round each; the steps 1..m-1 are pivot-tested in one elimination once
     all the rows are built, the largest formed first."""
     raw, order, gaps = _validated(values)
     unit = raw[order[-1]]
@@ -201,7 +202,7 @@ def _canonical(values: Sequence[float]) -> tuple:
             f"cannot build row {finite.argmin()}: a lower row's samples are all zero "
             "or too small to square in double"
         )
-    return raw, order, unit, rows, energy, gaps.min(initial=np.inf)
+    return raw, order, unit, y, rows, energy, gaps.min(initial=np.inf)
 
 
 def _in_value_units(x: np.ndarray, unit: float, k: np.ndarray) -> np.ndarray:
@@ -227,7 +228,7 @@ def induct_basis(values: Sequence[float]) -> ReducedBasis:
     evaluation or coefficient outside the double range reads +/-inf or 0.0
     (values near 1e20 at n = 32 reach inf).
     """
-    raw, order, unit, rows, energy, _ = _canonical(values)
+    raw, order, unit, _, rows, energy, _ = _canonical(values)
     # p_g = y p_{g-1} - (E_{g-1} / E_{g-2}) p_{g-2}, E the rows' sums of
     # squares: the trailing coefficients of y p_{g-1} (with a zero constant
     # term for even g) minus the ratio times p_{g-2}'s, leading 1 included.
@@ -272,25 +273,32 @@ def normalize_row(evals) -> tuple[np.ndarray, np.ndarray]:
     return c, c[..., None] * evals
 
 
-def fidelity(entries: np.ndarray, values: Sequence[float]) -> tuple[float, float]:
-    """``(residual, estimate)`` for ``J = M diag(x) M^T``, x the mirrored values over their max.
+def fidelity(half: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """``(residual, estimate, ortho)`` for the 2m x 2m matrix M with unit half-rows ``half``.
 
-    J is tridiagonal for the values' own matrix. The residual, its largest
-    off-tridiagonal |J[k, j]|, sees only coupling between rows of opposite
-    parity. If M = (I + S) P, P the values' matrix and S small and skew, row
-    k+1 of S enters row k of J's off-tridiagonal part times J[k, k+1]; the
-    entry-error estimate is the largest quotient of a row's largest such
-    entry by its |J[k, k+1]|. Non-finite entries give NaN.
+    ``half[g]`` is row g of M at the points y (the values over their max, any
+    column order), mirrored to -y with odd rows negated. With E and O the even
+    and odd half-rows, J = M diag(x) M^T, x the mirrored points, is zero but
+    for its even-odd block C = 2 E diag(y) O^T (J[2i, 2j+1] = C[i, j]) and its
+    transpose; C is lower bidiagonal for the values' own matrix. The residual,
+    C's largest off-band |C[i, j]|, sees only coupling between rows of
+    opposite parity. If M = (I + S) P, P the values' matrix and S small and
+    skew, row k+1 of S enters J's row k off the band times J[k, k+1]; the
+    estimate is the largest quotient of such a row's largest entry by
+    |J[k, k+1]|: for J's rows 2i and 2i+1, row i of C by |C[i, i]| and column
+    i by |C[i+1, i]|. ``ortho``, max |M M^T - I|, is read off 2 E E^T - I and
+    2 O O^T - I. NaN gives NaN.
     """
-    vals = np.asarray(values, dtype=float)
-    x = np.concatenate([-vals, vals[::-1]]) / vals.max()
-    product = entries @ (x[:, None] * entries.T)
-    n = len(product)
-    off = np.abs(product)
-    off.flat[:: n + 1] = off.flat[1 :: n + 1] = off.flat[n :: n + 1] = 0.0  # the band
+    m = y.size
+    pairs = half.reshape(m, 2, m).transpose(1, 0, 2)  # E and O
+    gram = 2.0 * (pairs @ pairs.transpose(0, 2, 1))
+    gram.reshape(2, -1)[:, :: m + 1] -= 1.0
+    off = np.abs((2.0 * pairs[0] * y) @ pairs[1].T)
+    diagonal, subdiagonal = off.flat[:: m + 1], off.flat[m :: m + 1]
+    off.flat[:: m + 1] = off.flat[m :: m + 1] = 0.0  # the band
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = off.max(axis=1)[:-1] / np.abs(np.diagonal(product, 1))
-    return float(off.max()), float(ratios.max())
+        ratios = np.concatenate([off.max(axis=1) / diagonal, off.max(axis=0)[:-1] / subdiagonal])
+    return float(off.max()), float(ratios.max()), float(np.abs(gram).max())
 
 
 def assemble_matrix(values: Sequence[float]) -> OrthoMatrix:
@@ -301,37 +309,35 @@ def assemble_matrix(values: Sequence[float]) -> OrthoMatrix:
     left half is evaluated at the negated values, the right half at the
     positive values in reversed column order (see module docstring).
 
-    Raises :class:`FidelityError` when the entry-error estimate or the
-    orthonormality residual ``max |M M^T - I|`` exceeds ``FIDELITY_TOL`` or is
-    NaN, as the recurrence's rows lose precision on clustered or widely
-    spread values.
-    An orthonormal M with a constant first row and a tridiagonal J is the
-    values' matrix up to row signs. Against exact references the
-    :func:`fidelity` estimate read 1 to 30 times the true entry error (the
+    Raises :class:`FidelityError`, before the entries are formed, when the
+    :func:`fidelity` estimate (from C) or orthonormality residual (from the
+    Grams) exceeds ``FIDELITY_TOL`` or is NaN, as the recurrence's rows lose
+    precision on clustered or widely spread values.
+    An orthonormal M with a constant first row and a tridiagonal J (a lower
+    bidiagonal C) is the values' matrix up to row signs. Against exact
+    references the estimate read 1 to 30 times the true entry error (the
     residual up to 110 times too little), but as little as 0.47 times it on
     tight clusters, which are ill-conditioned: no arithmetic on the rounded
     values beats eps over their smallest relative gap. So the estimate is at
     least 0.5 eps over that gap; the 0.5 is measured, not proven (on 7,199
     seeded clustered and spread sets the error never passed 0.24 eps over it).
     """
-    raw, order, unit, rows, _, gap = _canonical(values)
+    raw, order, unit, y, rows, _, gap = _canonical(values)
     m = raw.size
     n = 2 * m
-    half = np.empty((n, m))
-    scales, half[:, order] = normalize_row(rows)
-    entries = np.empty((n, n))
-    entries[:, :m] = half
-    entries[1::2, :m] *= -1.0
-    entries[:, m:] = half[:, ::-1]
-    residual, estimate = fidelity(entries, raw)
+    scales, half = normalize_row(rows)
+    residual, estimate, ortho = fidelity(half, y)
     estimate = max(estimate, 0.5 * _EPS / gap)
-    ortho = float(np.abs(entries @ entries.T - np.eye(n)).max())
     if not (estimate <= FIDELITY_TOL and ortho <= FIDELITY_TOL):
         raise FidelityError(
             f"estimated entry error {estimate:.2e} (fidelity residual {residual:.2e}), "
             f"orthonormality residual {ortho:.2e}, bound {FIDELITY_TOL:.0e}: the rows built "
             f"for these {m} values lost too much precision"
         )
+    entries = np.empty((n, n))
+    entries[:, order] = half
+    entries[:, m:] = entries[:, m - 1 :: -1]
+    entries[1::2, :m] *= -1.0
     # The rows were normalized in units of the largest value.
     scales = _in_value_units(scales, unit, -np.arange(n))
     return OrthoMatrix(n=n, entries=entries, values=raw, norm_scales=scales)

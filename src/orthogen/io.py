@@ -28,13 +28,6 @@ _P2_TEXT = b"0123456789 \t\n\r\x0b\x0c"  # digits and ASCII whitespace
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]+)(?:#[^\n]*\n)*")
 
 
-def format_fixed(value: float) -> str:
-    text = f"{value:.{DECIMALS}f}"
-    if text == _NEGATIVE_ZERO:
-        text = text[1:]
-    return text
-
-
 def _table(entries: np.ndarray, cell_fmt: str, sep: str, align: bool) -> str:
     """Render a 2-D array one line per row, all cells by one %-format string.
 

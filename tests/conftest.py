@@ -31,3 +31,10 @@ def value_sets(draw, max_m=8, min_gap=1e-3):
     values = np.cumsum(steps)
     values = values + draw(st.floats(0.0, 1.0 - values[-1]))
     return values[draw(st.permutations(range(m)))]
+
+
+def half_rows(entries, values):
+    """A 2m x 2m matrix's rows at the positive values, and those values over
+    their max, in its right half's column order: what ``fidelity`` reads."""
+    values = np.asarray(values, dtype=float)
+    return entries[:, values.size :], values[::-1] / values.max()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_values, value_sets
+from conftest import half_rows, random_values, value_sets
 from orthogen import core, linsolve
 from orthogen.core import (
     FIDELITY_TOL,
@@ -462,14 +462,58 @@ def test_permutation_equivariance_bit_exact(values, rnd):
 def test_fidelity_residual_separates_right_from_orthonormal():
     values = preset_values("dct", 8)
     entries = assemble_matrix(values).entries
-    assert max(fidelity(entries, values)) <= 1e-15
+    half, y = half_rows(entries, values)
+    assert max(fidelity(half, y)) <= 1e-15
     # swapping two rows keeps the matrix orthonormal but makes it wrong
-    swapped = entries[[0, 1, 4, 3, 2, 5, 6, 7]]
+    rows = [0, 1, 4, 3, 2, 5, 6, 7]
+    swapped = entries[rows]
     assert np.abs(swapped @ swapped.T - np.eye(8)).max() <= 1e-12
-    assert fidelity(swapped, values)[0] > 0.1
-    broken = entries.copy()
+    assert fidelity(half[rows], y)[0] > 0.1
+    # the half-rows are all the build mirrors into the entries
+    broken = half.copy()
     broken[3, 3] = np.nan
-    assert np.isnan(fidelity(broken, values)).all()
+    assert np.isnan(fidelity(broken, y)).all()
+
+
+def _full_residuals(entries, values):
+    # fidelity's residual and orthonormality residual from the n x n products
+    n = len(entries)
+    x = np.concatenate([-values, values[::-1]]) / values.max()
+    off = np.abs(entries @ (x[:, None] * entries.T))
+    off.flat[:: n + 1] = off.flat[1 :: n + 1] = off.flat[n :: n + 1] = 0.0
+    return off.max(), np.abs(entries @ entries.T - np.eye(n)).max()
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_half_size_residuals_match_the_full_products(name):
+    # The blocks fidelity skips are zero only up to summation rounding; the
+    # largest gap seen is 10 eps, for the orthonormality residual at dtt n = 110.
+    for n in range(2, 129, 2):
+        values = preset_values(name, n)
+        try:
+            entries = assemble_matrix(values).entries
+        except ArithmeticError:
+            continue
+        residual, _, ortho = fidelity(*half_rows(entries, values))
+        full_residual, full_ortho = _full_residuals(entries, values)
+        assert abs(full_residual - residual) <= 16 * np.finfo(float).eps, n
+        assert abs(full_ortho - ortho) <= 16 * np.finfo(float).eps, n
+
+
+# Two values spread over 1e156 and 1e98, and four over 1e20: their matrices
+# are right. J's same-parity blocks, which the guard skips, hold only rounding
+# noise here, and a tiny band entry blows it up: the estimate read off the
+# full n x n product is 0.177, 0.177 and 1.43e-6.
+@pytest.mark.parametrize(
+    "values",
+    [
+        [2.6654144359094713e-104, 3.2434418098572285e52],
+        [9.5707950692485648e-04, 1.2397445253961273e95],
+        [1.1888711969104026e12, 1.0529138717165297e-01, 2.8989463632281155e-08, 9.6735111442688666e00],
+    ],
+)
+def test_graded_sets_the_half_size_guard_returns_are_exact(values):
+    assert np.abs(assemble_matrix(values).entries - exact_matrix(values)).max() <= 1e-12
 
 
 def test_assemble_refuses_a_wrong_matrix(monkeypatch):
@@ -479,7 +523,7 @@ def test_assemble_refuses_a_wrong_matrix(monkeypatch):
 
     def rotated(values):
         built = canonical(values)
-        rows = built[3]
+        rows = built[4]
         norms = np.linalg.norm(rows[[1, 3]], axis=1)
         one, three = rows[[1, 3]] / norms[:, None]
         c, s = np.cos(1e-3), np.sin(1e-3)
@@ -509,7 +553,7 @@ def test_assemble_refuses_a_non_orthonormal_matrix(monkeypatch):
 
     def skewed(values):
         built = canonical(values)
-        built[3][2] += 1e-3 * built[3][0]
+        built[4][2] += 1e-3 * built[4][0]
         return built
 
     monkeypatch.setattr(core, "_canonical", skewed)
@@ -630,13 +674,14 @@ def _sequential_induction(values, solve_each=True):
     unit = raw[order[-1]]
     y = raw[order] / unit
     m = y.size
-    powers = y ** np.arange(2 * m)[:, None]
-    rows = powers.copy()
+    rows = y ** np.arange(2 * m)[:, None]
+    # Each system formed alone by the public builders, from views of the rows
+    basis = core.ReducedBasis(y, list(rows[0::2]), list(rows[1::2]), [], [])
     systems = []
     with np.errstate(all="ignore"):
         for g in range(2, 2 * m):
             prior = rows[g % 2 : g : 2]
-            systems.append(core._system(prior, powers, g))
+            systems.append((build_even_system, build_odd_system)[g % 2](basis, g // 2))
             if solve_each:
                 finite = np.isfinite(rows[:g]).all(axis=1)
                 if g % 2 == 0 and not finite.all():
@@ -654,7 +699,7 @@ def _sequential_induction(values, solve_each=True):
         energy = np.einsum("ij,ij->i", rows, rows)
     ascending = raw[order]
     gap = ((ascending[1:] - ascending[:-1]) / ascending[1:]).min(initial=np.inf)
-    return (raw, order, unit, rows, energy, gap), [system.matrix for system in systems]
+    return (raw, order, unit, y, rows, energy, gap), [system.matrix for system in systems]
 
 
 def _sequential_canonical(values):
@@ -722,7 +767,7 @@ def test_stacked_solves_match_the_sequential_induction_bit_for_bit(kind, monkeyp
     value_sets = _bit_identity_sets(kind)
     stacked = [_outputs(values) for values in value_sets]
     for values in value_sets:
-        # Each step's two systems, formed in one product, as _system forms each alone
+        # Each step's two systems, formed in one product, as the builders form each alone
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConditioningWarning)
             alone = _sequential_induction(values, solve_each=False)[1]

@@ -351,19 +351,15 @@ def test_pivot_test_raises_what_a_plain_elimination_raises(bad):
 @pytest.mark.parametrize("values", [[1, 1.0000000000001, 1.0000000000002, 1.0000000000003], *TIGHT_CLUSTERS])
 def test_moment_systems_fail_as_a_plain_elimination_fails(values, monkeypatch):
     # The rows come from _canonical with the pivot test switched off; each
-    # step's systems are then formed alone by core._system
+    # step's systems are then formed alone by the public builders
     monkeypatch.setattr(linsolve, "check_steps", lambda moments, last: None)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
-        raw, order, unit, rows, _, _ = core._canonical(values)
+        _, _, _, y, rows, _, _ = core._canonical(values)
     monkeypatch.undo()
-    y = raw[order] / unit
     m = y.size
-    powers = y ** np.arange(2 * m)[:, None]
-    steps = [
-        np.array([core._system(rows[g % 2 : g : 2], powers, g).matrix for g in (2 * t, 2 * t + 1)])
-        for t in range(1, m)
-    ]
+    basis = core.ReducedBasis(y, list(rows[0::2]), list(rows[1::2]), [], [])
+    steps = [np.array([build_even_system(basis, t).matrix, build_odd_system(basis, t).matrix]) for t in range(1, m)]
     want = _plain_outcome(steps)
     assert want is not None
     assert _outcome(lambda: check_steps(lambda t: steps[t - 1], m - 1)) == want
