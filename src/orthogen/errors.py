@@ -30,7 +30,8 @@ class ZeroRowError(ArithmeticError):
 
 
 class SizeMismatchError(ValueError):
-    """Raised when a sample block's shape does not match the transform size."""
+    """Raised when a transform matrix is not square, or a sample block's shape
+    does not match its size."""
 
 
 class UnknownPresetError(ValueError):

@@ -21,21 +21,38 @@ def _transform(matrix, block, stack: bool, inverse: bool = False) -> np.ndarray:
     is n x n (or, with ``stack``, a ``(..., n, n)`` stack of blocks) and finite.
     Raises ``ValueError`` when a coefficient overflows the double range."""
     m = matrix.entries if isinstance(matrix, OrthoMatrix) else np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise SizeMismatchError(f"transform matrix shape {m.shape} is not square")
     x = np.asarray(block, dtype=float)
     n = m.shape[0]
     if x.shape[-2:] != (n, n) or not (stack or x.ndim == 2):
         raise SizeMismatchError(f"block shape {x.shape} does not match transform size {n}")
+    if x.ndim == 2:
+        # np.dot runs the BLAS product that @ runs, without the matmul
+        # gufunc's dispatch. It would copy a non-contiguous operand to row
+        # order, where @ may pass it to BLAS transposed, and BLAS rounds the
+        # two products differently. Copying such an operand in its own memory
+        # order keeps the BLAS call of @, so every bit, and spares np.vdot
+        # and np.dot a copy each. On a stack np.dot would contract axes, so
+        # stacks keep @.
+        product = np.dot
+        if not m.flags.forc:
+            m = m.copy(order="K")
+        if not x.flags.forc:
+            x = x.copy(order="K")
+    else:
+        product = np.matmul
     left, right = (m.T, m) if inverse else (m, m.T)
     # A finite sum of squares rules out NaN and +/-inf in one reduction and,
     # M being orthonormal, bounds every coefficient by the block's norm. It
     # overflows for huge finite samples; only then scan them elementwise and
     # check the result.
     if math.isfinite(np.vdot(x, x)):
-        return left @ x @ right
+        return product(product(left, x), right)
     if not np.isfinite(x).all():
         raise ValueError("block samples must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        result = left @ x @ right
+        result = product(product(left, x), right)
     if not np.isfinite(result).all():
         raise ValueError("block transform overflows: a coefficient is beyond the double range")
     return result

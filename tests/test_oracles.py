@@ -150,33 +150,28 @@ def test_dct_oracle_is_the_golden_table_with_odd_rows_negated():
     assert np.abs(c @ c.T - np.eye(48)).max() <= 1e-14
 
 
-# dtt's exact rationals grow too large except at n = 32 and 64.
-_ABOVE_16 = [
-    (name, n)
-    for name in PRESETS
-    for n in (18, 24, 32, 40, 48, 64)
-    if name != "dtt" or n in (32, 64)
-]
+_ABOVE_16 = [(name, n) for name in PRESETS for n in (18, 24, 32, 40, 48, 64)]
 
 
 @pytest.mark.filterwarnings("ignore::orthogen.errors.ConditioningWarning")
 @pytest.mark.parametrize("name, n", _ABOVE_16)
 def test_returned_matrices_above_16_match_their_reference(name, n):
-    # Above n = 16 only closed-form or exact references can tell a wrong
+    # Above n = 16 only closed-form or certified references can tell a wrong
     # matrix from the right one; refusing to return a matrix is allowed.
     values = preset_values(name, n)
     try:
         entries = assemble_matrix(values).entries
     except (FidelityError, SingularSystemError):
         return
-    reference = dct_matrix(n) if name == "dct" else exact_matrix(values)
+    reference = dct_matrix(n) if name == "dct" else decimal_matrix(values)
     assert _sign_aligned_error(entries, reference) <= 5e-7
 
 
 # Presets above n = 16 that must come out right, not merely be refused when
-# wrong; dtt n = 48 is left out, as its exact rationals take about 30 s.
+# wrong.
 _ACCURATE = [
     ("dtt", 32),
+    ("dtt", 48),
     ("dtt", 64),
     ("triangular", 32),
     ("triangular", 48),
@@ -198,7 +193,7 @@ def test_matrices_above_16_agree_with_their_reference_to_1e_12(name, n):
     if name == "dct":
         reference = np.where(np.arange(n) % 2, -1.0, 1.0)[:, None] * dct_matrix(n)
     else:
-        reference = exact_matrix(values)
+        reference = decimal_matrix(values)
     assert np.abs(entries - reference).max() <= 1e-12
 
 

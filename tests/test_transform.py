@@ -217,14 +217,52 @@ def test_compaction_unchanged_by_power_of_two_scaling(dct8, k):
         assert scaled_mse == np.ldexp(mse, 2 * k)
 
 
-def test_stack_matches_per_block_results(dct8):
-    blocks = np.random.default_rng(36).uniform(-1024, 1023, (3, 8, 8))
-    coeffs = forward_2d(dct8, blocks)
-    restored = inverse_2d(dct8, coeffs)
-    assert coeffs.shape == restored.shape == (3, 8, 8)
-    for block, coeff, back in zip(blocks, coeffs, restored):
-        np.testing.assert_array_equal(coeff, forward_2d(dct8, block))
-        np.testing.assert_array_equal(back, inverse_2d(dct8, coeff))
+@pytest.mark.parametrize("preset, n", [("dct", 8), ("dtt", 16), ("prime", 4)])
+def test_stack_matches_per_block_results(preset, n):
+    # Tiles are views of one 10-bit image, cut in raster order as a block
+    # codec cuts them, so no single block is contiguous.
+    matrix = assemble_matrix(preset_values(preset, n))
+    m = matrix.entries
+    image = np.random.default_rng(36).integers(0, 1024, (3 * n, 2 * n)).astype(float)
+    corners = [(r, c) for r in range(0, 3 * n, n) for c in range(0, 2 * n, n)]
+    views = [image[r : r + n, c : c + n] for r, c in corners]
+    assert not any(view.flags.c_contiguous for view in views)
+    coeffs = forward_2d(matrix, np.stack(views))
+    plane = np.empty_like(image)
+    for (r, c), coeff in zip(corners, coeffs):
+        plane[r : r + n, c : c + n] = coeff
+    restored = inverse_2d(matrix, coeffs)
+    assert coeffs.shape == restored.shape == (len(views), n, n)
+    for (r, c), view, coeff, back in zip(corners, views, coeffs, restored):
+        single = forward_2d(matrix, view)
+        np.testing.assert_array_equal(single, m @ view @ m.T)
+        np.testing.assert_array_equal(single, coeff)
+        coeff_view = plane[r : r + n, c : c + n]
+        single_back = inverse_2d(matrix, coeff_view)
+        np.testing.assert_array_equal(single_back, m.T @ coeff_view @ m)
+        np.testing.assert_array_equal(single_back, back)
+        for keep in (1, n, n * n):
+            assert compaction_report(matrix, view, keep) == compaction_report(
+                matrix, np.ascontiguousarray(view), keep
+            )
+
+
+@pytest.mark.parametrize("layout", ["transposed block", "fortran block", "matrix view", "transposed matrix"])
+def test_single_block_matches_matmul_bit_for_bit_in_any_layout(layout):
+    # At n = 32 BLAS rounds a product with a transposed operand differently
+    # from one without, so a single block must reach BLAS as it does via @.
+    m = assemble_matrix(preset_values("dct", 32)).entries
+    image = np.random.default_rng(37).integers(0, 1024, (40, 48)).astype(float)
+    x = image[4:36, 8:40]
+    if layout == "transposed block":
+        x = x.T
+    elif layout == "fortran block":
+        x = np.asfortranarray(x)
+    else:
+        m = np.pad(m, 3)[3:-3, 3:-3]
+        m = m.T if layout == "transposed matrix" else m
+    np.testing.assert_array_equal(forward_2d(m, x), m @ x @ m.T)
+    np.testing.assert_array_equal(inverse_2d(m, x), m.T @ x @ m)
 
 
 @pytest.mark.parametrize("shape", [(3, 8, 4), (3, 4, 8), (2, 3, 4, 4), (8,), ()])
@@ -239,3 +277,13 @@ def test_compaction_takes_exactly_one_block(dct8):
         compaction_report(dct8, np.zeros((1, 8, 8)), keep=1)
     with pytest.raises(SizeMismatchError):
         compaction_report(dct8, np.zeros((3, 8, 8)), keep=1)
+
+
+@pytest.mark.parametrize("shape", [(8,), (8, 4), (2, 8, 8)])
+def test_matrix_that_is_not_square_2d_rejected(shape):
+    matrix, block = np.ones(shape), np.ones((8, 8))
+    for call in (forward_2d, inverse_2d):
+        with pytest.raises(SizeMismatchError, match="not square"):
+            call(matrix, block)
+    with pytest.raises(SizeMismatchError, match="not square"):
+        compaction_report(matrix, block, keep=1)
