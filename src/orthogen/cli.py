@@ -21,7 +21,7 @@ import numpy as np
 
 from . import io
 from .core import assemble_matrix
-from .errors import FidelityError, SingularSystemError, ZeroRowError
+from .errors import FidelityError, SingularSystemError
 from .presets import PRESETS, preset_values
 from .quantize import quantize_matrix
 from .transform import compaction_report, forward_2d, inverse_2d
@@ -186,8 +186,6 @@ def _cmd_quantize(args) -> int:
 def _cmd_transform(args) -> int:
     if args.matrix is not None:
         entries = io.read_matrix(args.matrix)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("transform matrix file must be square")
         # The inverse is the transpose and the compaction report relies on
         # Parseval, so the file must hold an orthonormal matrix up to the
         # rounding of its digits. Rounding Q to 7 decimals adds E with
@@ -271,7 +269,7 @@ def main(argv=None) -> int:
         warnings.simplefilter("always")
         try:
             return args.handler(args)
-        except (SingularSystemError, ZeroRowError, FidelityError) as exc:
+        except (SingularSystemError, FidelityError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NUMERIC_FAILURE
         except (ValueError, OSError) as exc:

@@ -14,8 +14,9 @@ is monic of degree g, projecting the lower same-parity rows out of it leaves
 p_g, and :func:`induct_basis` reads the coefficients off the same
 recurrence. All of it runs in double.
 
-Each row mirrors its half-row at +y, so :func:`fidelity` checks the matrix
-on m x m blocks of the even and odd unit half-rows E and O: C = 2 E diag(y)
+Each row mirrors its half-row at +y, and the recurrence's own sums of squares
+scale the half-rows to unit length, so :func:`fidelity` checks the matrix on
+m x m blocks of the even and odd unit half-rows E and O: C = 2 E diag(y)
 O^T, lower bidiagonal for the values' own matrix, and the Grams 2 E E^T - I
 and 2 O O^T - I; :func:`assemble_matrix` forms the entries once they pass.
 
@@ -197,11 +198,6 @@ def _canonical(values: Sequence[float]) -> tuple:
         return evals @ powers.reshape(m, 2, m)[t - 1 :: -1].transpose(1, 2, 0)
 
     linsolve.check_steps(moments, steps)
-    if steps < m - 1:
-        raise ZeroRowError(
-            f"cannot build row {finite.argmin()}: a lower row's samples are all zero "
-            "or too small to square in double"
-        )
     return raw, order, unit, y, rows, energy, gaps.min(initial=np.inf)
 
 
@@ -229,6 +225,11 @@ def induct_basis(values: Sequence[float]) -> ReducedBasis:
     (values near 1e20 at n = 32 reach inf).
     """
     raw, order, unit, _, rows, energy, _ = _canonical(values)
+    # As in _canonical, the last two rows enter no moment system.
+    finite = np.isfinite(rows[:-2]).all(axis=1)
+    if not finite.all():
+        raise ZeroRowError(f"cannot build row {finite.argmin()}: a lower row's samples are all "
+                           "zero or too small to square in double")
     # p_g = y p_{g-1} - (E_{g-1} / E_{g-2}) p_{g-2}, E the rows' sums of
     # squares: the trailing coefficients of y p_{g-1} (with a zero constant
     # term for even g) minus the ratio times p_{g-2}'s, leading 1 included.
@@ -309,10 +310,13 @@ def assemble_matrix(values: Sequence[float]) -> OrthoMatrix:
     left half is evaluated at the negated values, the right half at the
     positive values in reversed column order (see module docstring).
 
-    Raises :class:`FidelityError`, before the entries are formed, when the
+    Past validation it refuses at two points only: the pivot test
+    (:class:`SingularSystemError`) and the guard. The guard raises
+    :class:`FidelityError`, before the entries are formed, when the
     :func:`fidelity` estimate (from C) or orthonormality residual (from the
     Grams) exceeds ``FIDELITY_TOL`` or is NaN, as the recurrence's rows lose
-    precision on clustered or widely spread values.
+    precision on clustered or widely spread values; rows whose squares
+    underflow (values spanning about 1e200 or more) read NaN there.
     An orthonormal M with a constant first row and a tridiagonal J (a lower
     bidiagonal C) is the values' matrix up to row signs. Against exact
     references the estimate read 1 to 30 times the true entry error (the
@@ -322,11 +326,14 @@ def assemble_matrix(values: Sequence[float]) -> OrthoMatrix:
     least 0.5 eps over that gap; the 0.5 is measured, not proven (on 7,199
     seeded clustered and spread sets the error never passed 0.24 eps over it).
     """
-    raw, order, unit, y, rows, _, gap = _canonical(values)
+    raw, order, unit, y, rows, energy, gap = _canonical(values)
     m = raw.size
     n = 2 * m
-    scales, half = normalize_row(rows)
-    residual, estimate, ortho = fidelity(half, y)
+    # Rows that underflow or could not be built go inf or NaN and fail the guard.
+    with np.errstate(all="ignore"):
+        norms = np.sqrt(2.0 * energy)
+        half = rows / norms[:, None]
+        residual, estimate, ortho = fidelity(half, y)
     estimate = max(estimate, 0.5 * _EPS / gap)
     if not (estimate <= FIDELITY_TOL and ortho <= FIDELITY_TOL):
         raise FidelityError(
@@ -339,5 +346,5 @@ def assemble_matrix(values: Sequence[float]) -> OrthoMatrix:
     entries[:, m:] = entries[:, m - 1 :: -1]
     entries[1::2, :m] *= -1.0
     # The rows were normalized in units of the largest value.
-    scales = _in_value_units(scales, unit, -np.arange(n))
+    scales = _in_value_units(1.0 / norms, unit, -np.arange(n))
     return OrthoMatrix(n=n, entries=entries, values=raw, norm_scales=scales)

@@ -23,10 +23,10 @@ class DegenerateValuesError(ValueError):
 
 
 class ZeroRowError(ArithmeticError):
-    """Raised when a row's sum of squares is zero, so it cannot be scaled to
-    unit length. A valid value set reaches it when its values span about 1e200
-    or more (``1e-200, 1e-100, 1`` or ``1e-300, 1``): the samples of a high
-    row underflow, or their squares do."""
+    """Raised by ``normalize_row`` for a row whose sum of squares is zero, and
+    by ``induct_basis`` for a row that cannot be built because a lower row's
+    squares underflow, as on values spanning about 1e200 or more.
+    ``assemble_matrix`` refuses such values with :class:`FidelityError`."""
 
 
 class SizeMismatchError(ValueError):

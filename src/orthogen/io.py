@@ -197,13 +197,19 @@ def _read_pgm(data: bytes) -> np.ndarray:
 
 
 def write_pgm(path: str, samples: np.ndarray, maxval: int = 255, binary: bool = True) -> None:
-    """Write an integer grayscale block as P5 (binary) or P2 (ASCII)."""
+    """Write an integer grayscale block as P5 (binary) or P2 (ASCII), in the
+    grammar :func:`read_block` reads: ``maxval`` an integer in 1..65535 and
+    every sample an integer in 0..maxval; anything else raises ValueError."""
     arr = np.asarray(samples)
     if arr.ndim != 2:
         raise ValueError("PGM payload must be 2-D")
+    if not (isinstance(maxval, (int, np.integer)) and 1 <= maxval <= 65535):
+        raise ValueError(f"PGM maxval must be an integer in 1..65535, got {maxval!r}")
+    if not (np.isfinite(arr).all() and (np.trunc(arr) == arr).all()):
+        raise ValueError("PGM samples must be finite integers")
     if (arr < 0).any() or (arr > maxval).any():
         raise ValueError(f"samples outside 0..{maxval}")
-    header = f"{'P5' if binary else 'P2'}\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n"
+    header = f"{'P5' if binary else 'P2'}\n{arr.shape[1]} {arr.shape[0]}\n{int(maxval)}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         if binary:

@@ -9,6 +9,7 @@ floating-point noise.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -78,6 +79,10 @@ def compaction_report(matrix, block, keep: int) -> tuple[float, float]:
     """
     energy = _transform(matrix, block, stack=False).ravel()
     n2 = energy.size
+    # operator.index would take a bool as 0 or 1.
+    if isinstance(keep, bool) or not hasattr(keep, "__index__"):
+        raise ValueError(f"keep must be an integer, got {keep!r}")
+    keep = operator.index(keep)
     if not 1 <= keep <= n2:
         raise ValueError(f"keep must be in 1..{n2}, got {keep}")
     # Squares of huge coefficients overflow, and those of tiny ones lose bits

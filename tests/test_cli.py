@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import orthogen
-from orthogen import io
+from orthogen import core, io
 from orthogen.cli import main, verify_matrix
 from orthogen.core import assemble_matrix
 from orthogen.oracles import exact_matrix
@@ -180,9 +180,10 @@ UNDERFLOWING = (
 
 
 def test_generate_rows_that_underflow_exit_3(capsys):
+    # Rows 8 and up cannot be built; the guard refuses their NaN
     status, out, err = run(capsys, "generate", "--values", UNDERFLOWING)
     assert status == 3 and out == ""
-    assert err.startswith("error: cannot build row 8") and len(err.splitlines()) == 1
+    assert err.startswith("error: estimated entry error ") and len(err.splitlines()) == 1
 
 
 def run_module(*argv, stdout=subprocess.PIPE, **kwargs):
@@ -271,11 +272,15 @@ def test_generate_inaccurate_matrix_exit_3(capsys, preset, size):
 
 @pytest.mark.parametrize("values, row", [("1e-200,1e-100,1", 4), ("1e-300,1", 3), ("5e-324,1", 3)])
 def test_generate_underflowing_row_exit_3(capsys, values, row):
-    # Values spanning about 1e200 leave a row whose squares underflow to zero
+    # Values spanning about 1e200 leave rows whose squares underflow to zero,
+    # the first of them row `row`; such a row cannot be scaled to unit
+    # length, and the guard refuses the set
+    energy = core._canonical([float(v) for v in values.split(",")])[5]
+    assert np.flatnonzero(energy == 0.0)[0] == row
     status, out, err = run(capsys, "generate", "--values", values)
     assert status == 3
     assert out == ""
-    assert err.startswith(f"error: cannot normalize row {row}:")
+    assert err.startswith("error: estimated entry error ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("preset, size", [("fibonacci", 32), ("prime", 64)])
@@ -384,6 +389,21 @@ def test_json_entries_that_are_objects_exit_2(tmp_path, capsys, payload):
         assert status == 2
         assert out == ""
         assert err == "error: matrix JSON 'entries' must be a list of rows of numbers\n"
+
+
+@pytest.mark.parametrize(
+    "name, payload, message",
+    [("m.json", '{"entries": []}', "expected a square matrix, got shape (0,)"),
+     ("m.csv", "1,0,0\n0,1,0\n", "expected a square matrix, got shape (2, 3)")],
+    ids=["empty-json", "two-by-three-csv"],
+)
+def test_transform_matrix_file_that_is_not_square_exit_2(tmp_path, capsys, name, payload, message):
+    path = tmp_path / name
+    path.write_text(payload)
+    block = tmp_path / "b.csv"
+    _write_block_csv(block, np.ones((2, 2)))
+    status, out, err = run(capsys, "transform", "--matrix", str(path), "--block", str(block))
+    assert (status, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

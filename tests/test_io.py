@@ -202,6 +202,26 @@ def test_pgm_round_trip(tmp_path, binary, maxval):
     np.testing.assert_array_equal(io.read_block(str(path)), samples)
 
 
+@pytest.mark.parametrize(
+    "maxval, samples, message",
+    [(70000, [[0, 65536]], "maxval must be an integer in 1..65535, got 70000"),
+     (0, [[0, 0]], "maxval must be an integer in 1..65535, got 0"),
+     (255.0, [[0, 1]], "maxval must be an integer in 1..65535, got 255.0"),
+     (255, [[0, 1.7]], "samples must be finite integers"),
+     (255, [[0, np.nan]], "samples must be finite integers"),
+     (255, [[0, np.inf]], "samples must be finite integers")],
+    ids=["maxval-above-16-bits", "maxval-zero", "maxval-float", "fraction", "nan", "inf"],
+)
+@pytest.mark.parametrize("binary", [True, False])
+def test_write_pgm_refuses_what_read_block_refuses(tmp_path, binary, maxval, samples, message):
+    # Each used to be written: 70000 wrapped the samples to 16 bits and 0 made
+    # a header the reader refuses; 1.7 read back as 1 and NaN as 0
+    path = tmp_path / "block.pgm"
+    with pytest.raises(ValueError, match=f"^PGM {re.escape(message)}$"):
+        io.write_pgm(str(path), np.array(samples), maxval=maxval, binary=binary)
+    assert not path.exists()
+
+
 def test_pgm_with_comments(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P2\n# a comment\n2 2\n255\n0 1\n2 3\n")

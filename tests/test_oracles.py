@@ -10,6 +10,7 @@ from conftest import half_rows, random_values, value_sets
 from decimal_reference import decimal_matrix
 from orthogen.core import assemble_matrix, fidelity, induct_basis
 from orthogen.errors import DegenerateFamilyError, FidelityError, SingularSystemError
+from orthogen.io import matrix_to_csv, matrix_to_pretty
 from orthogen.oracles import (
     dct_matrix,
     exact_family,
@@ -206,10 +207,21 @@ def test_decimal_reference_is_the_exact_matrix(name):
 
 
 @pytest.mark.parametrize("name", PRESETS)
+def test_published_text_is_the_reference_text(name):
+    # The 7-decimal tables print the built matrix exactly as they print the
+    # certified reference.
+    for n in range(2, 17, 2):
+        values = preset_values(name, n)
+        entries, reference = assemble_matrix(values).entries, decimal_matrix(values)
+        for render in (matrix_to_csv, matrix_to_pretty):
+            assert render(entries) == render(reference), (n, render.__name__)
+
+
+@pytest.mark.parametrize("name", PRESETS)
 def test_returned_presets_match_the_decimal_reference(name):
     # Where exact rationals take seconds to minutes; the largest error seen is
     # 4.4e-15, at dct n = 128. Refusing to return a matrix is allowed.
-    for n in (32, 64, 128):
+    for n in (*range(18, 65, 2), 128):
         values = preset_values(name, n)
         try:
             entries = assemble_matrix(values).entries

@@ -109,6 +109,11 @@ def test_compaction_keep_bounds(dct8):
         compaction_report(dct8, block, keep=0)
     with pytest.raises(ValueError):
         compaction_report(dct8, block, keep=65)
+    # 2.5 used to escape as slicing's TypeError, and True counted as one
+    for keep in (2.5, True, "4", None):
+        with pytest.raises(ValueError, match="^keep must be an integer, got "):
+            compaction_report(dct8, block, keep=keep)
+    assert compaction_report(dct8, block, keep=np.int64(1)) == compaction_report(dct8, block, keep=1)
 
 
 def _direct_compaction(matrix, block, keep):
