@@ -316,7 +316,8 @@ def assemble_matrix(values: Sequence[float]) -> OrthoMatrix:
     :func:`fidelity` estimate (from C) or orthonormality residual (from the
     Grams) exceeds ``FIDELITY_TOL`` or is NaN, as the recurrence's rows lose
     precision on clustered or widely spread values; rows whose squares
-    underflow (values spanning about 1e200 or more) read NaN there.
+    underflow (values spanning about 1e200 or more) read NaN there, and the
+    message names the first row whose sum of squares is 0 or not finite.
     An orthonormal M with a constant first row and a tridiagonal J (a lower
     bidiagonal C) is the values' matrix up to row signs. Against exact
     references the estimate read 1 to 30 times the true entry error (the
@@ -336,10 +337,15 @@ def assemble_matrix(values: Sequence[float]) -> OrthoMatrix:
         residual, estimate, ortho = fidelity(half, y)
     estimate = max(estimate, 0.5 * _EPS / gap)
     if not (estimate <= FIDELITY_TOL and ortho <= FIDELITY_TOL):
+        unusable = np.flatnonzero(~((energy > 0.0) & (energy < np.inf)))
+        row = ""
+        if unusable.size:
+            i = unusable[0]
+            row = f"; cannot normalize row {i}: its sum of squares is {energy[i]:g}"
         raise FidelityError(
             f"estimated entry error {estimate:.2e} (fidelity residual {residual:.2e}), "
             f"orthonormality residual {ortho:.2e}, bound {FIDELITY_TOL:.0e}: the rows built "
-            f"for these {m} values lost too much precision"
+            f"for these {m} values lost too much precision{row}"
         )
     entries = np.empty((n, n))
     entries[:, order] = half

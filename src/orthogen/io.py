@@ -23,14 +23,76 @@ from .quantize import IntMatrix
 DECIMALS = 7
 _FIXED_CELL = f"%.{DECIMALS}f"
 _NEGATIVE_ZERO = f"-0.{'0' * DECIMALS}"
+_FIXED_SCALE = 10**DECIMALS
+_FIXED_LIMIT = 2.0**40 / _FIXED_SCALE
 _P2_TEXT = b"0123456789 \t\n\r\x0b\x0c"  # digits and ASCII whitespace
 # A header token and the comments touching it; as in Netpbm, "#" ends a token.
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]+)(?:#[^\n]*\n)*")
 
 
+def _digits8(v: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of each uint64 v < 10**8, one per byte, the most
+    significant in the lowest byte (first in a little-endian word).
+
+    Each step splits every lane into quotient and remainder in half-width
+    lanes, the quotient in the low half: (x << w) - q * (d << w) + q. The
+    quotients by 100 and by 10 are multiplications and shifts, exact for
+    lanes below 10**4 and 100.
+    """
+    hi = v // np.uint64(10**4)
+    x = (v << np.uint64(32)) - hi * np.uint64((10**4 << 32) - 1)
+    q = ((x * np.uint64(10486)) >> np.uint64(20)) & np.uint64(0x0000007F0000007F)
+    x = (x << np.uint64(16)) - q * np.uint64((100 << 16) - 1)
+    q = ((x * np.uint64(103)) >> np.uint64(10)) & np.uint64(0x000F000F000F000F)
+    return (x << np.uint64(8)) - q * np.uint64((10 << 8) - 1)
+
+
+def _fixed_text(arr: np.ndarray, sep: str) -> str | None:
+    """The cells of a 2-D float table as ``_FIXED_CELL`` writes them, with no
+    negative zero, ``sep`` (one ASCII character) between cells and a newline
+    between rows; None when a cell is not finite or |x| * 10**7 reaches 2**40.
+
+    Each cell is the exact x * 10**7 rounded half-even. The product x * 1e7
+    rounds it to a double, monotonically, and every half-integer below 2**40
+    is a double, so the product lies on the same side of each half-integer
+    as the exact one unless it is one: its rint is the cell, and the cells
+    whose product is a half-integer take their integer from their own
+    ``_FIXED_CELL`` text. Each cell is two little-endian words: the
+    separator before it, NULs, the sign and up to 6 integer digits, then
+    the point and the DECIMALS (7) fraction digits. Dropping the NULs leaves
+    the text.
+    """
+    if not np.abs(arr).max() < _FIXED_LIMIT:  # NaN fails too
+        return None
+    scaled = arr * _FIXED_SCALE
+    q = np.rint(scaled)
+    ties = np.flatnonzero(np.abs(scaled - q) == 0.5)
+    if ties.size:
+        q.flat[ties] = [int((_FIXED_CELL % x).replace(".", "")) for x in arr.flat[ties].tolist()]
+    a = np.abs(q).astype(np.uint64)
+    parts = np.empty((2,) + arr.shape, np.uint64)
+    np.floor_divide(a, np.uint64(_FIXED_SCALE), out=parts[0])
+    np.subtract(a, parts[0] * np.uint64(_FIXED_SCALE), out=parts[1])
+    lead, frac = _digits8(parts)
+    # The integer part starts at its first nonzero digit byte, or at the units.
+    nonzero = ((lead + np.uint64(0x7F7F7F7F7F7F7F7F)) & np.uint64(0x8080808080808080)) | np.uint64(1 << 63)
+    first = (nonzero & -nonzero) >> np.uint64(7)  # 1 << 8k, k that byte
+    lead |= np.uint64(0x3030303030303030)
+    lead &= -first
+    lead |= (first >> np.uint64(8)) * ((q < 0) * np.uint64(ord("-")))
+    lead[:, 1:] |= np.uint64(ord(sep))
+    lead[1:, 0] |= np.uint64(ord("\n"))
+    words = np.empty(arr.shape + (2,), "<u8")
+    words[..., 0] = lead
+    np.add(frac, np.uint64(0x303030303030302E), out=words[..., 1])  # ".0000000" plus the digits
+    return words.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _table(entries: np.ndarray, cell_fmt: str, sep: str, align: bool) -> str:
     """Render a 2-D array one line per row, all cells by one %-format string.
 
+    Fixed cells of a non-empty 2-D float array come from :func:`_fixed_text`;
+    every other table, and one it declines, is formatted cell by cell.
     Scrubbing negative zero over the whole text is exact: a fixed cell has
     exactly DECIMALS decimals and a sign only in front. ``align``
     right-justifies every cell to the widest one.
@@ -42,8 +104,12 @@ def _table(entries: np.ndarray, cell_fmt: str, sep: str, align: bool) -> str:
     def layout(fmt: str) -> str:
         return "\n".join([sep.join([fmt] * ncols)] * nrows)
 
-    text = layout(cell_fmt) % tuple(arr.ravel().tolist())
-    text = text.replace(_NEGATIVE_ZERO, _NEGATIVE_ZERO[1:])
+    text = None
+    if cell_fmt == _FIXED_CELL and arr.ndim == 2 and arr.size and arr.dtype.kind == "f":
+        text = _fixed_text(arr.astype(float, copy=False), sep)
+    if text is None:
+        text = layout(cell_fmt) % tuple(arr.ravel().tolist())
+        text = text.replace(_NEGATIVE_ZERO, _NEGATIVE_ZERO[1:])
     if align:
         cells = text.replace("\n", sep).split(sep)
         text = layout(f"%{max(map(len, cells))}s") % tuple(cells)

@@ -180,10 +180,12 @@ UNDERFLOWING = (
 
 
 def test_generate_rows_that_underflow_exit_3(capsys):
-    # Rows 8 and up cannot be built; the guard refuses their NaN
+    # The squares of rows 6 and 7 underflow and rows 8 and up cannot be
+    # built; the guard refuses their NaN and names row 6
     status, out, err = run(capsys, "generate", "--values", UNDERFLOWING)
     assert status == 3 and out == ""
     assert err.startswith("error: estimated entry error ") and len(err.splitlines()) == 1
+    assert err.rstrip().endswith("cannot normalize row 6: its sum of squares is 0")
 
 
 def run_module(*argv, stdout=subprocess.PIPE, **kwargs):
@@ -250,7 +252,8 @@ def test_cli_import_loads_neither_dataclasses_nor_json():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     loaded = proc.stdout.split()
     assert "orthogen.cli" in loaded
-    assert "dataclasses" not in loaded and "json" not in loaded
+    # nor fractions or decimal, which exact text rendering could pull in
+    assert not {"dataclasses", "json", "fractions", "decimal"} & set(loaded)
 
 
 def test_main_leaves_the_gc_freeze_count_unchanged(capsys):
@@ -274,13 +277,14 @@ def test_generate_inaccurate_matrix_exit_3(capsys, preset, size):
 def test_generate_underflowing_row_exit_3(capsys, values, row):
     # Values spanning about 1e200 leave rows whose squares underflow to zero,
     # the first of them row `row`; such a row cannot be scaled to unit
-    # length, and the guard refuses the set
+    # length, and the guard refuses the set, naming that row
     energy = core._canonical([float(v) for v in values.split(",")])[5]
     assert np.flatnonzero(energy == 0.0)[0] == row
     status, out, err = run(capsys, "generate", "--values", values)
     assert status == 3
     assert out == ""
     assert err.startswith("error: estimated entry error ") and len(err.splitlines()) == 1
+    assert err.rstrip().endswith(f"; cannot normalize row {row}: its sum of squares is 0")
 
 
 @pytest.mark.parametrize("preset, size", [("fibonacci", 32), ("prime", 64)])

@@ -314,9 +314,10 @@ UNDERFLOWING = [2.450484912167885e-84, 4.8401458732187e-24, 1.8178375660884261e1
 @pytest.mark.parametrize("build", [assemble_matrix, induct_basis])
 def test_rows_that_underflow_raise_zero_row_error(build):
     # assemble_matrix's guard refuses the NaN of the rows that cannot be
-    # built; induct_basis, which has no guard, names the first of them
+    # built and names row 6, the first whose squares underflow; induct_basis,
+    # which has no guard, names the first row it cannot build
     if build is assemble_matrix:
-        error, message = FidelityError, "estimated entry error "
+        error, message = FidelityError, "estimated entry error .*; cannot normalize row 6: its sum of squares is 0$"
     else:
         error, message = ZeroRowError, "cannot build row 8: a lower row's samples"
     with pytest.raises(error, match=message):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 
@@ -11,6 +12,7 @@ from orthogen import io
 from orthogen.core import assemble_matrix
 from orthogen.presets import preset_values
 from orthogen.quantize import quantize_matrix
+from orthogen.transform import forward_2d
 
 
 def _fixed_cell(value):
@@ -78,11 +80,40 @@ def _reference_table(cells, sep, align):
     return "\n".join(sep.join(c.rjust(width) for c in row) for row in cells) + "\n"
 
 
+# Finite tables of every magnitude: the whole double range, which past about
+# 1.1e5 the fixed renderers format cell by cell; magnitude bands from 1e-9 to
+# 1e5; the exact ties (2k+1)/256 * 10**j, whose 8th decimal is a 5 and which
+# round half-even; multiples of 5e-8, whose product by 1e7 is often a
+# half-integer though the double is not a tie; and signed zeros.
 _float_tables = hnp.arrays(
     np.float64,
-    hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
-    elements=st.floats(allow_nan=False, allow_infinity=False),
+    hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
+    elements=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.builds(lambda x, j: x * 10.0**j, st.floats(-10.0, 10.0), st.integers(-9, 4)),
+        st.builds(lambda k, j: (2 * k + 1) / 256 * 10.0**j, st.integers(-2**20, 2**20), st.integers(-7, 2)),
+        st.builds(lambda k: k * 5e-8, st.integers(-2**41, 2**41)),
+        st.sampled_from([0.0, -0.0]),
+    ),
+    # Most cells of a large table repeat one value, so it is drawn quickly.
+    fill=st.floats(-2e5, 2e5),
 )
+
+
+def _dct_plane():
+    # The 8x8 DCT coefficients of a seeded 112x80 10-bit image, tile by tile
+    image = np.random.default_rng(112).integers(0, 1024, (112, 80)).astype(float)
+    tiles = image.reshape(14, 8, 10, 8).swapaxes(1, 2)
+    coeffs = forward_2d(assemble_matrix(preset_values("dct", 8)).entries, tiles.reshape(-1, 8, 8))
+    return coeffs.reshape(14, 10, 8, 8).swapaxes(1, 2).reshape(112, 80)
+
+
+# Tables the fixed renderers format cell by cell: a cell that is not finite
+# or of magnitude 2**40 / 1e7 (about 1.1e5) or more, up to 7 integer digits.
+_FALLBACK_TABLES = [
+    np.array([[1.5, cell], [-0.0, -2.25]])
+    for cell in (np.inf, -np.inf, np.nan, 1e300, -1e300, 2e5, 2.0**40 / 1e7, -1234567.00000005)
+]
 
 
 @settings(max_examples=200, deadline=None)
@@ -91,6 +122,19 @@ def test_fixed_renderers_match_per_cell_format(entries):
     cells = [[_fixed_cell(v) for v in row] for row in entries]
     assert io.matrix_to_csv(entries) == _reference_table(cells, ",", align=False)
     assert io.matrix_to_pretty(entries) == _reference_table(cells, " ", align=True)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [_dct_plane()] + [assemble_matrix(preset_values(p, 128)).entries for p in ("dct", "dtt", "prime")] + _FALLBACK_TABLES,
+)
+def test_fixed_tables_match_per_cell_format_and_parse_back(entries):
+    cells = [[_fixed_cell(v) for v in row] for row in entries]
+    text = io.matrix_to_csv(entries)
+    assert text == _reference_table(cells, ",", align=False)
+    assert io.matrix_to_pretty(entries) == _reference_table(cells, " ", align=True)
+    # inf and nan cells read back too
+    np.testing.assert_array_equal(io.parse_matrix_csv(text), [[float(c) for c in row] for row in cells])
 
 
 @settings(max_examples=200, deadline=None)
@@ -390,10 +434,12 @@ def test_csv_tables_read_back(entries, data):
         (io.matrix_to_csv(entries), [[float(_fixed_cell(v)) for v in row] for row in entries]),
         ("\n".join(",".join(map(repr, row.tolist())) for row in entries), entries),
     ):
+        # Up to 8 drawn pads, cycled over the cells, keep a 40x40 table quick to draw.
+        pads = itertools.cycle(data.draw(st.lists(_PADS, min_size=1, max_size=8)))
         lines = []
         for line in text.splitlines():
-            lines.append(",".join(data.draw(_PADS) + c + data.draw(_PADS) for c in line.split(",")))
-            lines += [data.draw(_PADS)] * data.draw(st.integers(0, 1))
+            lines.append(",".join(next(pads) + c + next(pads) for c in line.split(",")))
+            lines += [next(pads)] * data.draw(st.integers(0, 1))
         text = data.draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
         parsed = io.parse_matrix_csv(text)
         assert parsed.dtype == np.float64
