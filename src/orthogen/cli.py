@@ -91,9 +91,16 @@ def _parse_values(text: str) -> list[float]:
         raise ValueError(f"could not parse values {text!r}") from exc
 
 
+def _check_size(args, n: int, source: str) -> None:
+    if args.size is not None and args.size != n:
+        raise ValueError(f"--size {args.size} does not match n = {n} of {source}")
+
+
 def _resolve_values(args) -> np.ndarray:
     if getattr(args, "values", None) is not None:
-        return np.array(_parse_values(args.values))
+        values = np.array(_parse_values(args.values))
+        _check_size(args, 2 * values.size, f"the {values.size} values given")
+        return values
     if args.preset is not None:
         if args.size is None:
             raise ValueError("--preset requires --size")
@@ -172,7 +179,7 @@ def _cmd_quantize(args) -> int:
     elif args.format == "json":
         text = io.int_matrix_to_json(im)
     elif args.format == "c-header":
-        macro = args.macro_name or _default_macro_name(args.preset, im.n)
+        macro = _default_macro_name(args.preset, im.n) if args.macro_name is None else args.macro_name
         var = args.var_name
         if var is None:
             var = "g_" + macro.removeprefix("DEFINE_").removesuffix("_MATRIX").lower() if macro else "g_mat"
@@ -186,6 +193,7 @@ def _cmd_quantize(args) -> int:
 def _cmd_transform(args) -> int:
     if args.matrix is not None:
         entries = io.read_matrix(args.matrix)
+        _check_size(args, entries.shape[0], f"the matrix in {args.matrix}")
         # The inverse is the transpose and the compaction report relies on
         # Parseval, so the file must hold an orthonormal matrix up to the
         # rounding of its digits. Rounding Q to 7 decimals adds E with
@@ -218,9 +226,12 @@ def _cmd_transform(args) -> int:
         fields = {"n": int(entries.shape[0]), "keep": args.keep,
                   "retained_energy_fraction": retained, "reconstruction_mse": mse}
         report = json.dumps(fields, indent=2) + "\n"
-    _emit(io.matrix_to_csv(result), args.out)
-    if report:
+    if args.report is not None:
+        # A report file is written first, so a failed write leaves stdout empty.
         _emit(report, args.report)
+    _emit(io.matrix_to_csv(result), args.out)
+    if args.report is None:
+        _emit(report, None)
     return EXIT_OK
 
 

@@ -197,7 +197,7 @@ def _canonical(values: Sequence[float]) -> tuple:
         evals = rows[: 2 * t].reshape(t, 2, m).transpose(1, 0, 2)
         return evals @ powers.reshape(m, 2, m)[t - 1 :: -1].transpose(1, 2, 0)
 
-    linsolve.check_steps(moments, steps)
+    linsolve.check_steps(moments(t) for t in range(steps, 0, -1))
     return raw, order, unit, y, rows, energy, gaps.min(initial=np.inf)
 
 

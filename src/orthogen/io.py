@@ -162,7 +162,11 @@ def int_matrix_to_json(im: IntMatrix) -> str:
 def int_matrix_to_c_header(
     im: IntMatrix, var_name: str = "g_mat", macro_name: str | None = None
 ) -> str:
-    """Render an integer matrix as a C table, optionally behind a macro."""
+    """Render an integer matrix as a C table, optionally behind a macro.
+    Raises ``ValueError`` for a name that is not a C identifier."""
+    for name in (macro_name, var_name):
+        if name is not None and not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+            raise ValueError(f"{name!r} is not a C identifier")
     n = im.n
     rows = ["{ " + r + " }" for r in _table(im.entries, "%d", ", ", align=True).splitlines()]
     if macro_name is None:

@@ -1,11 +1,9 @@
 """Pivot test and solves for the moment systems of the coefficient induction.
 
 Step t of the induction has a ``(k, t, t)`` stack of moment systems, and
-``check_steps`` pivot-tests the stacks of steps 1..s in one Gaussian
-elimination with partial pivoting: every system sits in the bottom-right
-corner of one frame of size s, stack t joins it at column s - t, and each
-system gets exactly the arithmetic it would get alone, so the test raises
-what solving the stacks one by one, the smallest first, raises.
+``check_steps`` pivot-tests the stacks of consecutive steps, the largest
+first, in one Gaussian elimination with partial pivoting, raising what solving
+them one by one, the smallest first, raises.
 ``core.assemble_matrix`` and ``core.induct_basis`` run only this test, once
 per build, which is where their remaining refusals come from; the
 coefficients come from the three-term recurrence. The test first equilibrates
@@ -22,7 +20,7 @@ NumPy's LU determinant. Inputs are never mutated.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Iterable
 
 import numpy as np
 
@@ -41,77 +39,76 @@ def _checked_square(a, stack: bool = False) -> np.ndarray:
     return a
 
 
-def check_steps(moments: Callable[[int], np.ndarray], last: int, first: int = 1) -> None:
-    """Pivot-test ``moments(last), moments(last - 1), ..., moments(first)``
-    in one elimination; returns nothing.
+def check_steps(stacks: Iterable[np.ndarray]) -> None:
+    """Pivot-test ``(k, t, t)`` stacks whose sizes t fall by one from the
+    first, in one elimination; returns nothing.
 
-    ``moments(t)`` returns a ``(k, t, t)`` float stack and is called when the
-    stack joins, at column ``last - t``. At column j every system present has
-    ``last - j`` rows and columns left, so one pass per column eliminates them
-    all. Raises exactly what
-    ``for t in range(first, last + 1): solve(moments(t), rhs)`` raises for a
-    finite ``rhs``: the error of the smallest failing step, which is
-    ``ValueError`` when its stack is not finite.
+    Each stack is drawn when the elimination reaches its size, so a generator
+    forms it only then; a stack of any other size raises ``ValueError``.
+    Raises exactly what solving the stacks one by one, the smallest first,
+    raises for a finite right-hand side: the error of the smallest failing
+    step, which is ``ValueError`` when its stack is not finite.
     """
-    if first > last:
+    stacks = iter(stacks)
+    work = next(stacks, None)
+    if work is None:
         return
-    # Per join, (step, stack size, whether the stack is not finite); per system,
-    # in joining order, whether it has a zero column and its pivot floor.
-    joins, zero_column, floor = [], [], []
+    # Per system, in joining order: its size, whether its stack is not
+    # finite, whether it has a zero column, and its pivot floor.
+    size, nonfinite, zero_column, floor = [], [], [], []
     pivots = []  # per column, the pivots of the systems present
 
-    def join(t: int) -> np.ndarray:
-        a = moments(t)
+    def join(a: np.ndarray, t: int) -> np.ndarray:
+        if np.shape(a)[1:] != (t, t):
+            raise ValueError(f"expected a stack of {t} x {t} systems, got shape {np.shape(a)}")
         col_maxima = np.abs(a).max(axis=1)  # NaN or inf where a column is not finite
-        joins.append((t, len(a), not col_maxima.max() < np.inf))
+        size.extend([t] * len(a))
+        nonfinite.extend([not col_maxima.max() < np.inf] * len(a))
         a = np.ldexp(a, -np.frexp(col_maxima)[1][:, None, :])
         mantissas, exponents = np.frexp(np.abs(a).max(axis=2))
         zero_column.append((col_maxima == 0.0).any(axis=1))
         floor.append(PIVOT_RTOL * mantissas.max(axis=1))
         return np.ldexp(a, -exponents[:, :, None])
 
-    # A failing system runs on into zero pivots and NaN, a non-finite one
-    # into NaN; neither touches another system. Each is refused after the
-    # loop, a failing one by the first bad pivot, which it meets as it would
-    # alone.
+    # A failing system runs on into zero pivots and NaN, a non-finite one into
+    # NaN; neither touches another system. Each is refused after the loop, a
+    # failing one by the first bad pivot, which it meets as it would alone.
     with np.errstate(invalid="ignore"):
-        work = join(last)
-        for j in range(last):
+        work = join(work, np.shape(work)[-1])
+        for t in range(work.shape[-1] - 1, -1, -1):
             systems = np.arange(len(work))
             p = np.abs(work[:, :, 0]).argmax(axis=1)
             pivot_rows = work[systems, p]
             work[systems, p] = work[:, 0]
             pivots.append(pivot_rows[:, 0].copy())
             factors = work[:, 1:, 0] / pivot_rows[:, 0, None]
-            # The next step, t = last - j - 1, joins below the updated systems.
-            t = last - j - 1
-            joining = join(t) if t >= first else np.empty((0, t, t))
+            # The stack of size t, if any, joins below the updated systems.
+            a = next(stacks, None) if t else None
+            joining = np.empty((0, t, t)) if a is None else join(a, t)
             updated = np.empty((len(work) + len(joining), t, t))
             present = updated[: len(work)]
             np.multiply(factors[:, :, None], pivot_rows[:, None, 1:], out=present)
             np.subtract(work[:, 1:, 1:], present, out=present)
             updated[len(work) :] = joining
             work = updated
-    # pivots[j] holds the pivots of the systems present at column j, the
-    # first of them in joining order; the columns before a system joined hold
-    # inf, which passes the test.
-    joined = np.array(joins)
-    step, _, nonfinite = np.repeat(joined, joined[:, 1], axis=0).T
-    start = last - step
-    table = np.full((last, step.size), np.inf)
-    table[start <= np.arange(last)[:, None]] = np.concatenate(pivots)
+    # Row j of the table holds the pivots of the systems present at column j;
+    # a system that joins later reads inf there, which passes the test.
+    size, nonfinite = np.array(size), np.array(nonfinite)
     floor, zero_column = np.concatenate(floor), np.concatenate(zero_column)
+    table = np.full((len(pivots), size.size), np.inf)
+    for j, column in enumerate(pivots):
+        table[j, : column.size] = column
     bad = (np.abs(table) < floor) | (table == 0.0)
     failed = np.flatnonzero(nonfinite | zero_column | bad.any(axis=0))
     if failed.size:
-        s = failed[step[failed].argmin()]
+        s = failed[size[failed].argmin()]
         if nonfinite[s]:
             raise ValueError("matrix entries must be finite")
         if zero_column[s]:
             raise SingularSystemError("zero column: matrix is singular")
         j = int(bad[:, s].argmax())
         raise SingularSystemError(
-            f"pivot {table[j, s]:.3e} in column {j - start[s]} below threshold {floor[s]:.3e}"
+            f"pivot {table[j, s]:.3e} in column {j - len(table) + size[s]} below threshold {floor[s]:.3e}"
         )
 
 
@@ -139,7 +136,7 @@ def solve(a, rhs) -> np.ndarray:
         )
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side entries must be finite")
-    check_steps(lambda _: a, a.shape[-1], a.shape[-1])
+    check_steps([a])
     # A trailing unit axis makes b a stack of columns under NumPy 1.x and 2.x alike.
     x = np.linalg.solve(a, b[..., None])[..., 0]
     return x[0] if single else x

@@ -549,6 +549,18 @@ def test_quantize_custom_macro_and_var(capsys):
     assert "g_x[2][2]" in out
 
 
+@pytest.mark.parametrize("flag", ["--var-name", "--macro-name"])
+@pytest.mark.parametrize("name", ["bad name", "9lives", "g-x", "", "g_x\n"])
+def test_quantize_refuses_a_c_name_that_is_not_an_identifier(capsys, flag, name):
+    # A table so named would not compile
+    status, out, err = run(
+        capsys, "quantize", "--preset", "dct", "--size", "4", "--format", "c-header", flag, name
+    )
+    assert status == 2
+    assert out == ""
+    assert err == f"error: {name!r} is not a C identifier\n"
+
+
 def test_quantize_values_without_macro(capsys):
     status, out, _ = run(capsys, "quantize", "--values", "1", "--format", "c-header")
     assert status == 0
@@ -727,6 +739,44 @@ def test_transform_report_without_keep_rejected(tmp_path, capsys):
     assert out == ""
     assert err == "error: --report needs --keep, the coefficient count the report is about\n"
     assert not report.exists()
+
+
+def test_transform_report_that_cannot_be_written_leaves_stdout_empty(tmp_path, capsys):
+    # The report file is written first, so its failure leaves stdout empty, as on every exit 2
+    block = tmp_path / "b.csv"
+    _write_block_csv(block, np.ones((4, 4)))
+    report = tmp_path / "missing" / "r.json"
+    status, out, err = run(
+        capsys, "transform", "--preset", "dct", "--size", "4",
+        "--block", str(block), "--keep", "2", "--report", str(report),
+    )
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _matrix_file(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    status, _, _ = run(capsys, "generate", "--preset", "dct", "--size", "4", "--format", "csv", "--out", str(path))
+    assert status == 0
+    return ["--matrix", str(path)]
+
+
+@pytest.mark.parametrize(
+    "command, source",
+    [("generate", "values"), ("quantize", "values"), ("transform", "values"), ("transform", "matrix")],
+)
+def test_a_size_other_than_the_source_gives_exit_2(tmp_path, capsys, command, source):
+    # --size is checked against the n the values or the matrix file give
+    block = tmp_path / "b.csv"
+    _write_block_csv(block, np.ones((4, 4)))
+    given = ["--values", "1,2"] if source == "values" else _matrix_file(tmp_path, capsys)
+    extra = ["--block", str(block)] if command == "transform" else []
+    assert run(capsys, command, *given, "--size", "4", *extra)[0] == 0
+    status, out, err = run(capsys, command, *given, "--size", "8", *extra)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: --size 8 does not match n = 4 of the ") and err.count("\n") == 1
 
 
 def test_transform_size_mismatch_exit_2(tmp_path, capsys):

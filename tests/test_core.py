@@ -332,7 +332,7 @@ def test_an_earlier_pivot_failure_wins_over_rows_that_underflow(monkeypatch):
         warnings.simplefilter("ignore", ConditioningWarning)
         with pytest.raises(SingularSystemError, match="in column 2 "):
             assemble_matrix(values)
-        monkeypatch.setattr(linsolve, "check_steps", lambda moments, last: None)
+        monkeypatch.setattr(linsolve, "check_steps", lambda stacks: None)
         with pytest.raises(FidelityError, match="estimated entry error "):
             assemble_matrix(values)
         with pytest.raises(ZeroRowError, match="cannot build row 10"):
@@ -346,9 +346,9 @@ def test_a_build_runs_one_elimination(build, kind, n, monkeypatch):
     formed = []
     check_steps = linsolve.check_steps
 
-    def recorded(moments, last):
+    def recorded(stacks):
         formed.append([])
-        return check_steps(lambda t: formed[-1].append(t) or moments(t), last)
+        return check_steps(formed[-1].append(len(a[0])) or a for a in stacks)
 
     monkeypatch.setattr(linsolve, "check_steps", recorded)
     if kind == "fibonacci":
@@ -360,6 +360,21 @@ def test_a_build_runs_one_elimination(build, kind, n, monkeypatch):
     else:
         build(preset_values(kind, n))
         assert formed == [list(range(n // 2 - 1, 0, -1))]
+
+
+@pytest.mark.parametrize(
+    "kind, n, returned",
+    [("dct", 256, True), ("dtt", 254, True), ("prime", 200, True), ("triangular", 94, True),
+     ("fibonacci", 36, True), ("dtt", 252, False), ("dtt", 256, False), ("prime", 162, False),
+     ("triangular", 96, False), ("fibonacci", 38, False)],
+)
+def test_the_largest_passing_preset_sizes(kind, n, returned):
+    # The boundaries the README states; every refusal is the pivot test's
+    if returned:
+        assert assemble_matrix(preset_values(kind, n)).entries.shape == (n, n)
+    else:
+        with pytest.raises(SingularSystemError):
+            assemble_matrix(preset_values(kind, n))
 
 
 def test_assemble_two_by_two():
@@ -717,9 +732,10 @@ def _stacked_moments(values, monkeypatch):
     stacks = []
     check_steps = linsolve.check_steps
 
-    def record(moments, last):
-        stacks.extend(moments(t) for t in range(1, last + 1))
-        check_steps(moments, last)
+    def record(drawn):
+        drawn = list(drawn)
+        stacks.extend(reversed(drawn))
+        check_steps(drawn)
 
     with monkeypatch.context() as patched, warnings.catch_warnings():
         patched.setattr(linsolve, "check_steps", record)

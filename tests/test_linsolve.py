@@ -79,7 +79,7 @@ def test_shape_and_finiteness_validation():
     with pytest.raises(ValueError):
         solve([[np.nan]], [1.0])
     with pytest.raises(ValueError, match="finite"):
-        check_steps(lambda t: np.full((1, 1, 1), np.nan), 1)
+        check_steps([np.full((1, 1, 1), np.nan)])
     with pytest.raises(ValueError):
         solve([[1.0]], [np.inf])
     with pytest.raises(ValueError):
@@ -91,7 +91,7 @@ def test_inputs_not_mutated():
     rhs = np.array([1.0, 2.0])
     a_copy, rhs_copy = a.copy(), rhs.copy()
     solve(a, rhs)
-    check_steps(lambda t: a[None], 2, 2)
+    check_steps([a[None]])
     determinant(a)
     np.testing.assert_array_equal(a, a_copy)
     np.testing.assert_array_equal(rhs, rhs_copy)
@@ -208,11 +208,12 @@ def _checked_nested(stacks):
     # were formed, in order.
     formed = []
 
-    def moments(t):
-        formed.append(t)
-        return stacks[t]
+    def drawn():
+        for t in range(len(stacks), 0, -1):
+            formed.append(t)
+            yield stacks[t]
 
-    return _outcome(lambda: check_steps(moments, len(stacks))), formed
+    return _outcome(lambda: check_steps(drawn())), formed
 
 
 def _solved_one_by_one(stacks):
@@ -292,14 +293,47 @@ def test_equal_sizes_join_at_the_first_column_as_one_stack():
         a, _ = _graded_systems(rng, 4, t)
         a[rng.integers(4), :, 0] = 0.0
         one_by_one = _outcome(lambda: [solve(ai, np.ones(t)) for ai in a])
-        assert _outcome(lambda: check_steps(lambda _: a, t, t)) == one_by_one is not None
+        assert _outcome(lambda: check_steps([a])) == one_by_one is not None
 
 
 def test_check_steps_forms_every_stack_once_largest_first():
     stacks = {1: np.ones((1, 1, 1)), 2: np.eye(2)[None], 3: np.array([REGULAR, REGULAR])}
     assert _checked_nested(stacks) == (None, [3, 2, 1])
-    # No steps: nothing is formed
-    assert check_steps(None, 0) is None
+
+    def and_more():
+        yield from (stacks[t] for t in (3, 2, 1))
+        raise AssertionError("drawn past the stack of size 1")
+
+    check_steps(and_more())
+    # Sizes may stop short of 1; no steps: nothing is formed
+    assert check_steps([stacks[3], stacks[2]]) is None
+    assert check_steps([]) is None
+
+
+def test_each_stack_is_used_before_the_next_is_drawn():
+    # A generator may refill one buffer for every stack it yields
+    rng = np.random.default_rng(37)
+    stacks = {t: _graded_systems(rng, 2, t)[0] for t in range(1, 6)}
+    stacks[4] = _with(stacks[4], 1, FAILS_LATE)
+    buffer = np.empty((2, 5, 5))
+
+    def refilled():
+        for t in range(5, 0, -1):
+            buffer[:, :t, :t] = stacks[t]
+            yield buffer[:, :t, :t]
+
+    assert _outcome(lambda: check_steps(refilled())) == _checked_nested(stacks)[0] is not None
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [[(2, 3, 3), (2, 3, 3)], [(2, 3, 3), (2, 1, 1)], [(1, 2, 2), (1, 1, 2)], [(2, 2, 2), (2, 1)],
+     [(3, 2, 2), (1, 1, 1, 1)]],
+)
+def test_a_stack_of_the_wrong_size_raises_value_error(shapes):
+    # Each stack after the first must be one smaller than the one before
+    with pytest.raises(ValueError, match="expected a stack of"):
+        check_steps(np.ones(shape) for shape in shapes)
 
 
 def _plain_pivot_test(a):
@@ -343,7 +377,7 @@ def test_pivot_test_raises_what_a_plain_elimination_raises(bad):
     for stack in stacks:
         want = _plain_outcome([stack])
         assert want is not None
-        assert _outcome(lambda: check_steps(lambda _: stack, 3, 3)) == want
+        assert _outcome(lambda: check_steps([stack])) == want
         assert _outcome(lambda: solve(stack, np.ones((2, 3)))) == want
 
 
@@ -352,7 +386,7 @@ def test_pivot_test_raises_what_a_plain_elimination_raises(bad):
 def test_moment_systems_fail_as_a_plain_elimination_fails(values, monkeypatch):
     # The rows come from _canonical with the pivot test switched off; each
     # step's systems are then formed alone by the public builders
-    monkeypatch.setattr(linsolve, "check_steps", lambda moments, last: None)
+    monkeypatch.setattr(linsolve, "check_steps", lambda stacks: None)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
         _, _, _, y, rows, _, _ = core._canonical(values)
@@ -362,7 +396,7 @@ def test_moment_systems_fail_as_a_plain_elimination_fails(values, monkeypatch):
     steps = [np.array([build_even_system(basis, t).matrix, build_odd_system(basis, t).matrix]) for t in range(1, m)]
     want = _plain_outcome(steps)
     assert want is not None
-    assert _outcome(lambda: check_steps(lambda t: steps[t - 1], m - 1)) == want
+    assert _outcome(lambda: check_steps(steps[::-1])) == want
     assert _outcome(lambda: [solve(a, np.ones(a.shape[:2])) for a in steps]) == want
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
