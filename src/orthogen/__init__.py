@@ -20,7 +20,6 @@ from .core import (
 )
 from .errors import (
     ConditioningWarning,
-    DegenerateFamilyError,
     DegenerateValuesError,
     FidelityError,
     OddSizeError,
@@ -57,7 +56,6 @@ __all__ = [
     "inverse_2d",
     "compaction_report",
     "ConditioningWarning",
-    "DegenerateFamilyError",
     "DegenerateValuesError",
     "FidelityError",
     "OddSizeError",

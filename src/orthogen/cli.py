@@ -165,6 +165,9 @@ def _default_macro_name(preset: str | None, n: int) -> str | None:
 
 
 def _cmd_quantize(args) -> int:
+    for flag, name in (("--var-name", args.var_name), ("--macro-name", args.macro_name)):
+        if name is not None and args.format != "c-header":
+            raise ValueError(f"{flag} only applies to --format c-header")
     if args.scale != "auto":
         try:
             scale: float | str = float(args.scale)

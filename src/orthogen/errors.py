@@ -42,10 +42,5 @@ class OddSizeError(ValueError):
     """Raised when a requested matrix size is odd or smaller than 2."""
 
 
-class DegenerateFamilyError(ArithmeticError):
-    """Raised by the Gram-Schmidt oracle when the monomial family collapses
-    (duplicate sample values)."""
-
-
 class ConditioningWarning(UserWarning):
     """Emitted for inputs that are accepted but numerically risky."""

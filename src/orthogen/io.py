@@ -24,7 +24,7 @@ DECIMALS = 7
 _FIXED_CELL = f"%.{DECIMALS}f"
 _NEGATIVE_ZERO = f"-0.{'0' * DECIMALS}"
 _FIXED_SCALE = 10**DECIMALS
-_FIXED_LIMIT = 2.0**40 / _FIXED_SCALE
+_FIXED_LIMIT = 10.0 ** (DECIMALS + 6)  # the sign and 6 integer digits fill a word
 _P2_TEXT = b"0123456789 \t\n\r\x0b\x0c"  # digits and ASCII whitespace
 # A header token and the comments touching it; as in Netpbm, "#" ends a token.
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]+)(?:#[^\n]*\n)*")
@@ -50,22 +50,24 @@ def _digits8(v: np.ndarray) -> np.ndarray:
 def _fixed_text(arr: np.ndarray, sep: str) -> str | None:
     """The cells of a 2-D float table as ``_FIXED_CELL`` writes them, with no
     negative zero, ``sep`` (one ASCII character) between cells and a newline
-    between rows; None when a cell is not finite or |x| * 10**7 reaches 2**40.
+    between rows; None when a cell is not finite or needs more than 6
+    integer digits (|rint(x * 1e7)| reaches 10**13).
 
     Each cell is the exact x * 10**7 rounded half-even. The product x * 1e7
-    rounds it to a double, monotonically, and every half-integer below 2**40
-    is a double, so the product lies on the same side of each half-integer
-    as the exact one unless it is one: its rint is the cell, and the cells
-    whose product is a half-integer take their integer from their own
-    ``_FIXED_CELL`` text. Each cell is two little-endian words: the
+    rounds it to a double, monotonically, and every half-integer below 2**44
+    (> 10**13) is a double, so the product lies on the same side of each
+    half-integer as the exact one unless it is one: its rint is the cell,
+    and the cells whose product is a half-integer take their integer from
+    their own ``_FIXED_CELL`` text. Each cell is two little-endian words: the
     separator before it, NULs, the sign and up to 6 integer digits, then
     the point and the DECIMALS (7) fraction digits. Dropping the NULs leaves
     the text.
     """
-    if not np.abs(arr).max() < _FIXED_LIMIT:  # NaN fails too
-        return None
-    scaled = arr * _FIXED_SCALE
+    with np.errstate(over="ignore"):  # an infinite product fails the test below
+        scaled = arr * _FIXED_SCALE
     q = np.rint(scaled)
+    if not np.abs(q).max() < _FIXED_LIMIT:  # NaN fails too
+        return None
     ties = np.flatnonzero(np.abs(scaled - q) == 0.5)
     if ties.size:
         q.flat[ties] = [int((_FIXED_CELL % x).replace(".", "")) for x in arr.flat[ties].tolist()]

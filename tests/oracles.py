@@ -16,11 +16,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateFamilyError
-
 # Post-projection norm below this fraction of the original row norm means the
 # monomial family is linearly dependent (duplicate sample values).
 COLLAPSE_RTOL = 1e-12
+
+
+class DegenerateFamilyError(ArithmeticError):
+    """Raised by the Gram-Schmidt oracle when the monomial family collapses
+    (duplicate sample values)."""
 
 
 def gram_schmidt_matrix(values: Sequence[float]) -> np.ndarray:

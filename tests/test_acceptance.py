@@ -9,10 +9,10 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import random_values
+from oracles import gram_schmidt_matrix, small_case_coefficients
 from orthogen.cli import main
 from orthogen.core import assemble_matrix, build_even_system, build_odd_system, induct_basis
 from orthogen.linsolve import determinant
-from orthogen.oracles import gram_schmidt_matrix, small_case_coefficients
 from orthogen.presets import PRESETS, preset_values
 from orthogen.quantize import quantize_matrix
 from orthogen.transform import forward_2d, inverse_2d

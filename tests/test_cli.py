@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import orthogen
+from oracles import exact_matrix
 from orthogen import core, io
 from orthogen.cli import main, verify_matrix
 from orthogen.core import assemble_matrix
-from orthogen.oracles import exact_matrix
 from orthogen.presets import preset_values
 from reference_matrices import DCT_8, DCT_8_INT, DTT_4, DTT_4_INT_128, DTT_8_INT
 
@@ -559,6 +559,16 @@ def test_quantize_refuses_a_c_name_that_is_not_an_identifier(capsys, flag, name)
     assert status == 2
     assert out == ""
     assert err == f"error: {name!r} is not a C identifier\n"
+
+
+@pytest.mark.parametrize("flag", ["--var-name", "--macro-name"])
+@pytest.mark.parametrize("fmt", ["pretty", "csv", "json"])
+def test_quantize_refuses_a_c_name_outside_c_header(capsys, flag, fmt):
+    # The name would be ignored, so the request contradicts itself
+    status, out, err = run(capsys, "quantize", "--preset", "dct", "--size", "4", "--format", fmt, flag, "g_x")
+    assert status == 2
+    assert out == ""
+    assert err == f"error: {flag} only applies to --format c-header\n"
 
 
 def test_quantize_values_without_macro(capsys):

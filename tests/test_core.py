@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import half_rows, random_values, value_sets
+from oracles import exact_family, exact_matrix
 from orthogen import core, linsolve
 from orthogen.core import (
     FIDELITY_TOL,
@@ -27,7 +28,6 @@ from orthogen.errors import (
     ZeroRowError,
 )
 from orthogen.linsolve import determinant, solve
-from orthogen.oracles import exact_family, exact_matrix
 from orthogen.presets import PRESETS, preset_values
 from reference_matrices import DCT_8, DTT_4
 

@@ -80,39 +80,45 @@ def _reference_table(cells, sep, align):
     return "\n".join(sep.join(c.rjust(width) for c in row) for row in cells) + "\n"
 
 
-# Finite tables of every magnitude: the whole double range, which past about
-# 1.1e5 the fixed renderers format cell by cell; magnitude bands from 1e-9 to
-# 1e5; the exact ties (2k+1)/256 * 10**j, whose 8th decimal is a 5 and which
-# round half-even; multiples of 5e-8, whose product by 1e7 is often a
-# half-integer though the double is not a tie; and signed zeros.
+# Finite tables of every magnitude: the whole double range, which from a
+# 7-digit integer part on the fixed renderers format cell by cell; magnitude
+# bands from 1e-9 to 1e6; the exact ties (2k+1)/256 * 10**j, whose 8th
+# decimal is a 5 and which round half-even; multiples of 5e-8, whose product
+# by 1e7 is often a half-integer though the double is not a tie; and signed
+# zeros.
 _float_tables = hnp.arrays(
     np.float64,
     hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
     elements=st.one_of(
         st.floats(allow_nan=False, allow_infinity=False),
-        st.builds(lambda x, j: x * 10.0**j, st.floats(-10.0, 10.0), st.integers(-9, 4)),
+        st.builds(lambda x, j: x * 10.0**j, st.floats(-10.0, 10.0), st.integers(-9, 5)),
         st.builds(lambda k, j: (2 * k + 1) / 256 * 10.0**j, st.integers(-2**20, 2**20), st.integers(-7, 2)),
-        st.builds(lambda k: k * 5e-8, st.integers(-2**41, 2**41)),
+        st.builds(lambda k: k * 5e-8, st.integers(-2 * 10**13, 2 * 10**13)),
         st.sampled_from([0.0, -0.0]),
     ),
     # Most cells of a large table repeat one value, so it is drawn quickly.
-    fill=st.floats(-2e5, 2e5),
+    fill=st.floats(-1e6, 1e6),
 )
 
 
-def _dct_plane():
-    # The 8x8 DCT coefficients of a seeded 112x80 10-bit image, tile by tile
-    image = np.random.default_rng(112).integers(0, 1024, (112, 80)).astype(float)
+def _dct_plane(bits=10):
+    # The 8x8 DCT coefficients of a seeded 112x80 image, tile by tile
+    image = np.random.default_rng(112).integers(0, 2**bits, (112, 80)).astype(float)
     tiles = image.reshape(14, 8, 10, 8).swapaxes(1, 2)
     coeffs = forward_2d(assemble_matrix(preset_values("dct", 8)).entries, tiles.reshape(-1, 8, 8))
     return coeffs.reshape(14, 10, 8, 8).swapaxes(1, 2).reshape(112, 80)
 
 
-# Tables the fixed renderers format cell by cell: a cell that is not finite
-# or of magnitude 2**40 / 1e7 (about 1.1e5) or more, up to 7 integer digits.
-_FALLBACK_TABLES = [
+# Tables at the edges of the bulk path: a cell that is not finite, has 7 or
+# more integer digits or rounds up to 7 (+-999999.99999995, whose product by
+# 1e7 is a tie), which the fixed renderers format cell by cell, and cells of
+# up to 6 integer digits (2e5, +-999999.9999999), which they render in bulk.
+_EDGE_TABLES = [
     np.array([[1.5, cell], [-0.0, -2.25]])
-    for cell in (np.inf, -np.inf, np.nan, 1e300, -1e300, 2e5, 2.0**40 / 1e7, -1234567.00000005)
+    for cell in (
+        np.inf, -np.inf, np.nan, 1e300, -1e300, 2e5, 2.0**40 / 1e7, -1234567.00000005,
+        999999.9999999, -999999.9999999, 999999.99999995, -999999.99999995,
+    )
 ]
 
 
@@ -126,7 +132,10 @@ def test_fixed_renderers_match_per_cell_format(entries):
 
 @pytest.mark.parametrize(
     "entries",
-    [_dct_plane()] + [assemble_matrix(preset_values(p, 128)).entries for p in ("dct", "dtt", "prime")] + _FALLBACK_TABLES,
+    [_dct_plane()]
+    + [assemble_matrix(preset_values(p, 128)).entries for p in ("dct", "dtt", "prime")]
+    + _EDGE_TABLES
+    + [_dct_plane(16)],
 )
 def test_fixed_tables_match_per_cell_format_and_parse_back(entries):
     cells = [[_fixed_cell(v) for v in row] for row in entries]
@@ -135,6 +144,13 @@ def test_fixed_tables_match_per_cell_format_and_parse_back(entries):
     assert io.matrix_to_pretty(entries) == _reference_table(cells, " ", align=True)
     # inf and nan cells read back too
     np.testing.assert_array_equal(io.parse_matrix_csv(text), [[float(c) for c in row] for row in cells])
+
+
+@pytest.mark.parametrize("entries", _EDGE_TABLES + [_dct_plane(16)])
+def test_fixed_text_renders_in_bulk_every_table_of_at_most_6_integer_digits(entries):
+    # 6 integer digits, the point and 7 decimals are 14 characters
+    bulk = np.isfinite(entries).all() and max(len(f"{abs(v):.7f}") for v in entries.ravel()) <= 14
+    assert (io._fixed_text(entries, ",") is not None) == bulk
 
 
 @settings(max_examples=200, deadline=None)

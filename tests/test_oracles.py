@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -6,18 +8,20 @@ import pytest
 
 from hypothesis import example, given
 
+import orthogen
 from conftest import half_rows, random_values, value_sets
 from decimal_reference import decimal_matrix
-from orthogen.core import assemble_matrix, fidelity, induct_basis
-from orthogen.errors import DegenerateFamilyError, FidelityError, SingularSystemError
-from orthogen.io import matrix_to_csv, matrix_to_pretty
-from orthogen.oracles import (
+from oracles import (
+    DegenerateFamilyError,
     dct_matrix,
     exact_family,
     exact_matrix,
     gram_schmidt_matrix,
     small_case_coefficients,
 )
+from orthogen.core import assemble_matrix, fidelity, induct_basis
+from orthogen.errors import FidelityError, SingularSystemError
+from orthogen.io import matrix_to_csv, matrix_to_pretty
 from orthogen.presets import PRESETS, preset_values
 from reference_matrices import DCT_8, DTT_4
 
@@ -239,3 +243,14 @@ def test_norm_scales_match_the_exact_norms(name, n):
     _, norms = exact_family(values)
     ratios = [math.sqrt(Fraction(c) ** 2 * norm) for c, norm in zip(scales.tolist(), norms)]
     assert max(abs(r - 1.0) for r in ratios) <= 1e-10
+
+
+def test_the_package_ships_no_test_reference():
+    assert importlib.util.find_spec("orthogen.oracles") is None
+    assert "DegenerateFamilyError" not in orthogen.__all__
+
+
+def test_a_deprecation_warning_in_the_references_fails_the_suite():
+    # pyproject.toml's filterwarnings holds them to the rule orthogen's own calls keep
+    with pytest.raises(DeprecationWarning):
+        warnings.warn_explicit("NumPy API drift", DeprecationWarning, "oracles.py", 1, module="oracles")
