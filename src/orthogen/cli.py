@@ -55,7 +55,7 @@ def verify_matrix(entries: np.ndarray, tolerance: float = DEFAULT_TOLERANCE) -> 
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     entries = np.asarray(entries, dtype=float)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.size == 0:
         raise ValueError(f"expected a square matrix, got shape {entries.shape}")
     n = entries.shape[0]
     gram = entries @ entries.T - np.eye(n)

@@ -28,6 +28,14 @@ _FIXED_LIMIT = 10.0 ** (DECIMALS + 6)  # the sign and 6 integer digits fill a wo
 _P2_TEXT = b"0123456789 \t\n\r\x0b\x0c"  # digits and ASCII whitespace
 # A header token and the comments touching it; as in Netpbm, "#" ends a token.
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]+)(?:#[^\n]*\n)*")
+# The keywords of C11 and C23, which no table or macro may be named
+_C_KEYWORDS = frozenset("""
+    auto break case char const continue default do double else enum extern float for goto if inline
+    int long register restrict return short signed sizeof static struct switch typedef union unsigned
+    void volatile while _Alignas _Alignof _Atomic _Bool _Complex _Generic _Imaginary _Noreturn
+    _Static_assert _Thread_local alignas alignof bool constexpr false nullptr static_assert
+    thread_local true typeof typeof_unqual _BitInt _Decimal32 _Decimal64 _Decimal128
+""".split())
 
 
 def _digits8(v: np.ndarray) -> np.ndarray:
@@ -165,9 +173,10 @@ def int_matrix_to_c_header(
     im: IntMatrix, var_name: str = "g_mat", macro_name: str | None = None
 ) -> str:
     """Render an integer matrix as a C table, optionally behind a macro.
-    Raises ``ValueError`` for a name that is not a C identifier."""
+    Raises ``ValueError`` for a name that is not a C identifier or is a C11
+    or C23 keyword."""
     for name in (macro_name, var_name):
-        if name is not None and not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+        if name is not None and (name in _C_KEYWORDS or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name)):
             raise ValueError(f"{name!r} is not a C identifier")
     n = im.n
     rows = ["{ " + r + " }" for r in _table(im.entries, "%d", ", ", align=True).splitlines()]
@@ -275,7 +284,8 @@ def write_pgm(path: str, samples: np.ndarray, maxval: int = 255, binary: bool = 
     arr = np.asarray(samples)
     if arr.ndim != 2:
         raise ValueError("PGM payload must be 2-D")
-    if not (isinstance(maxval, (int, np.integer)) and 1 <= maxval <= 65535):
+    # A bool is an int to isinstance; True would be written as maxval 1.
+    if isinstance(maxval, bool) or not (isinstance(maxval, (int, np.integer)) and 1 <= maxval <= 65535):
         raise ValueError(f"PGM maxval must be an integer in 1..65535, got {maxval!r}")
     if not (np.isfinite(arr).all() and (np.trunc(arr) == arr).all()):
         raise ValueError("PGM samples must be finite integers")

@@ -3,7 +3,7 @@
 Step t of the induction has a ``(k, t, t)`` stack of moment systems, and
 ``check_steps`` pivot-tests the stacks of consecutive steps, the largest
 first, in one Gaussian elimination with partial pivoting, raising what solving
-them one by one, the smallest first, raises.
+each system one by one, the smallest step first, raises.
 ``core.assemble_matrix`` and ``core.induct_basis`` run only this test, once
 per build, which is where their remaining refusals come from; the
 coefficients come from the three-term recurrence. The test first equilibrates
@@ -13,7 +13,7 @@ pivot threshold respond to genuine rank deficiency instead of the heavy
 grading the moment systems carry. Each row's largest magnitude is then the
 mantissa ``frexp`` returned for it, so the pivot floor, ``PIVOT_RTOL`` times
 the largest equilibrated entry, is read off the largest of those mantissas.
-``solve`` is the test on one stack followed by LAPACK's solve, and reproduces
+``solve`` is the test on one system followed by LAPACK's solve, and reproduces
 the paper's moment-system route to the coefficients. ``determinant`` is
 NumPy's LU determinant. Inputs are never mutated.
 """
@@ -30,9 +30,9 @@ from .errors import SingularSystemError
 PIVOT_RTOL = 1e-12
 
 
-def _checked_square(a, stack: bool = False) -> np.ndarray:
+def _checked_square(a) -> np.ndarray:
     a = np.array(a, dtype=float)
-    if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-1] != a.shape[-2] or a.size == 0:
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
@@ -45,9 +45,10 @@ def check_steps(stacks: Iterable[np.ndarray]) -> None:
 
     Each stack is drawn when the elimination reaches its size, so a generator
     forms it only then; a stack of any other size raises ``ValueError``.
-    Raises exactly what solving the stacks one by one, the smallest first,
-    raises for a finite right-hand side: the error of the smallest failing
-    step, which is ``ValueError`` when its stack is not finite.
+    Raises what solving each system one by one, the smallest step first,
+    raises for a finite right-hand side, with each stack checked for finite
+    entries as a whole: the error of the smallest failing step, which is
+    ``ValueError`` when its stack is not finite.
     """
     stacks = iter(stacks)
     work = next(stacks, None)
@@ -113,33 +114,23 @@ def check_steps(stacks: Iterable[np.ndarray]) -> None:
 
 
 def solve(a, rhs) -> np.ndarray:
-    """Solve ``a @ x = rhs`` for a square ``a``, or for each system of a stack.
+    """Solve ``a @ x = rhs`` for a square ``a``; ``rhs`` holds t entries in
+    any shape and the result is ``(t,)``. A system that passes the pivot test
+    is solved by LAPACK (``numpy.linalg.solve``).
 
-    ``a`` is ``(t, t)`` with t ``rhs`` entries, or a ``(k, t, t)`` stack with
-    a ``(k, t)`` ``rhs``; the result is ``(t,)`` or ``(k, t)``. A system that
-    passes the pivot test is solved by LAPACK (``numpy.linalg.solve``).
-
-    Raises :class:`SingularSystemError` when a matrix has a zero column or any
+    Raises :class:`SingularSystemError` when ``a`` has a zero column or any
     pivot of the equilibrated matrix falls below ``PIVOT_RTOL`` times its
     largest initial entry magnitude; for the induction systems that signals
-    duplicate or otherwise degenerate generator values. A stack raises the
-    error of its first failing system, as that system alone would.
+    duplicate or otherwise degenerate generator values.
     """
-    a = _checked_square(a, stack=True)
+    a = _checked_square(a)
     b = np.array(rhs, dtype=float)
-    single = a.ndim == 2
-    if single:
-        a, b = a[None], b.reshape(1, -1)
-    if b.shape != a.shape[:2]:
-        raise ValueError(
-            f"right-hand side of shape {np.shape(rhs)} does not match matrix shape {a.shape[single:]}"
-        )
+    if b.size != len(a):
+        raise ValueError(f"right-hand side of shape {np.shape(rhs)} does not match matrix shape {a.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side entries must be finite")
-    check_steps([a])
-    # A trailing unit axis makes b a stack of columns under NumPy 1.x and 2.x alike.
-    x = np.linalg.solve(a, b[..., None])[..., 0]
-    return x[0] if single else x
+    check_steps([a[None]])
+    return np.linalg.solve(a, b.reshape(-1))
 
 
 def determinant(a) -> float:

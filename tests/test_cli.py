@@ -482,6 +482,12 @@ def test_verify_refuses_a_tolerance_not_finite_and_non_negative(tmp_path, capsys
         verify_matrix(np.array(DCT_8), float(tolerance))
 
 
+def test_verify_refuses_an_empty_matrix():
+    # NumPy's max of an empty residual used to leak its own message
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(0, 0\)$"):
+        verify_matrix(np.zeros((0, 0)))
+
+
 def test_verify_report_fields():
     report = verify_matrix(np.eye(4), tolerance=1e-9)
     assert report.orthogonality_residual == 0.0
@@ -550,9 +556,9 @@ def test_quantize_custom_macro_and_var(capsys):
 
 
 @pytest.mark.parametrize("flag", ["--var-name", "--macro-name"])
-@pytest.mark.parametrize("name", ["bad name", "9lives", "g-x", "", "g_x\n"])
+@pytest.mark.parametrize("name", ["bad name", "9lives", "g-x", "", "g_x\n", "int", "while", "bool"])
 def test_quantize_refuses_a_c_name_that_is_not_an_identifier(capsys, flag, name):
-    # A table so named would not compile
+    # A table so named would not compile; a keyword (bool since C23) is no identifier
     status, out, err = run(
         capsys, "quantize", "--preset", "dct", "--size", "4", "--format", "c-header", flag, name
     )

@@ -267,15 +267,16 @@ def test_pgm_round_trip(tmp_path, binary, maxval):
     [(70000, [[0, 65536]], "maxval must be an integer in 1..65535, got 70000"),
      (0, [[0, 0]], "maxval must be an integer in 1..65535, got 0"),
      (255.0, [[0, 1]], "maxval must be an integer in 1..65535, got 255.0"),
+     (True, [[0, 1]], "maxval must be an integer in 1..65535, got True"),
      (255, [[0, 1.7]], "samples must be finite integers"),
      (255, [[0, np.nan]], "samples must be finite integers"),
      (255, [[0, np.inf]], "samples must be finite integers")],
-    ids=["maxval-above-16-bits", "maxval-zero", "maxval-float", "fraction", "nan", "inf"],
+    ids=["maxval-above-16-bits", "maxval-zero", "maxval-float", "maxval-bool", "fraction", "nan", "inf"],
 )
 @pytest.mark.parametrize("binary", [True, False])
 def test_write_pgm_refuses_what_read_block_refuses(tmp_path, binary, maxval, samples, message):
     # Each used to be written: 70000 wrapped the samples to 16 bits and 0 made
-    # a header the reader refuses; 1.7 read back as 1 and NaN as 0
+    # a header the reader refuses; True wrote maxval 1; 1.7 read back as 1 and NaN as 0
     path = tmp_path / "block.pgm"
     with pytest.raises(ValueError, match=f"^PGM {re.escape(message)}$"):
         io.write_pgm(str(path), np.array(samples), maxval=maxval, binary=binary)

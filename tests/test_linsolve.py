@@ -1,12 +1,12 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import random_values
 from orthogen import core, linsolve
-from orthogen.core import build_even_system, build_odd_system, induct_basis
+from orthogen.core import build_even_system, build_odd_system
 from orthogen.errors import ConditioningWarning, SingularSystemError
 from orthogen.linsolve import PIVOT_RTOL, check_steps, determinant, solve
 from test_core import TIGHT_CLUSTERS
@@ -121,27 +121,14 @@ def _graded_systems(rng, k, t):
     return a, rng.uniform(-10.0, 10.0, (k, t))
 
 
-def _moment_systems(rng, t):
-    # The even and odd systems of one induction step for a random value set
-    basis = induct_basis(random_values(rng, int(rng.integers(t + 1, 12))))
-    systems = [build_even_system(basis, t), build_odd_system(basis, t)]
-    return np.array([s.matrix for s in systems]), np.array([s.rhs for s in systems])
-
-
-def test_stack_matches_systems_solved_alone_bit_for_bit():
-    rng = np.random.default_rng(19)
-    stacks = [_graded_systems(rng, int(rng.integers(1, 5)), int(rng.integers(1, 12))) for _ in range(60)]
-    stacks += [_moment_systems(rng, int(rng.integers(1, 8))) for _ in range(60)]
-    for a, rhs in stacks:
-        x = solve(a, rhs)
-        assert x.shape == rhs.shape
-        np.testing.assert_array_equal(x, [solve(ai, bi) for ai, bi in zip(a, rhs)])
-
-
-def _error(a, rhs):
+def _error(run):
     with pytest.raises(SingularSystemError) as info:
-        solve(a, rhs)
+        run()
     return str(info.value)
+
+
+def _stack_error(stack):
+    return _error(lambda: check_steps([np.array(stack)]))
 
 
 # Fails at column 2 and column 1, respectively; one with a zero column
@@ -163,36 +150,48 @@ REGULAR = [[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]]
     ],
 )
 def test_stack_raises_the_error_of_its_first_failing_system(stack, first_failing):
-    rhs = np.ones((len(stack), 3))
-    assert _error(stack, rhs) == _error(first_failing, rhs[0])
+    # The build tests a step's even and odd systems as one stack
+    assert _stack_error(stack) == _error(lambda: solve(first_failing, np.ones(3)))
 
 
 def test_stack_error_messages_name_the_failure():
-    rhs = np.ones((2, 3))
-    assert _error([FAILS_LATE, FAILS_EARLY], rhs).startswith("pivot 0.000e+00 in column 2 ")
-    assert _error([REGULAR, ZERO_COLUMN], rhs) == "zero column: matrix is singular"
+    assert _stack_error([FAILS_LATE, FAILS_EARLY]).startswith("pivot 0.000e+00 in column 2 ")
+    assert _stack_error([REGULAR, ZERO_COLUMN]) == "zero column: matrix is singular"
 
 
 def test_two_dimensional_input_gives_a_single_solution():
     a = np.array(REGULAR)
     x = solve(a, [1.0, 2.0, 3.0])
     assert x.shape == (3,)
-    np.testing.assert_array_equal(x, solve(a[None], [[1.0, 2.0, 3.0]])[0])
-    # as before, any rhs with t entries is read as one vector
-    np.testing.assert_array_equal(solve(a, [[1.0], [2.0], [3.0]]), x)
+    np.testing.assert_array_equal(x, np.linalg.solve(a, [1.0, 2.0, 3.0]))
+    # any rhs with t entries is read as one vector
+    for rhs in ([[1.0], [2.0], [3.0]], [[1.0, 2.0, 3.0]], [[[1.0, 2.0, 3.0]]]):
+        np.testing.assert_array_equal(solve(a, rhs), x)
     np.testing.assert_allclose(a @ x, [1.0, 2.0, 3.0], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("rhs_shape", [(2,), (4,), (0,), (2, 2), (3, 3), (1, 3, 2)])
+def test_rhs_of_another_size_rejected(rhs_shape):
+    message = f"right-hand side of shape {rhs_shape} does not match matrix shape (3, 3)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve(REGULAR, np.ones(rhs_shape))
 
 
 @pytest.mark.parametrize("rhs_shape", [(3,), (2, 2), (3, 3), (2, 3, 1), (1, 3)])
 def test_stack_rhs_of_another_shape_rejected(rhs_shape):
-    with pytest.raises(ValueError, match="right-hand side"):
+    # solve takes one system: a stack is refused before its right-hand side is read
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3, 3\)$"):
         solve(np.stack([REGULAR, REGULAR]), np.ones(rhs_shape))
 
 
-@pytest.mark.parametrize("shape", [(2, 3, 2), (0, 3, 3), (2, 0, 0), (2, 2, 2, 2)])
+@pytest.mark.parametrize("shape", [(2, 3, 2), (0, 3, 3), (2, 0, 0), (2, 2, 2, 2), (2, 3, 3), (1, 1, 1)])
 def test_stack_of_non_square_or_empty_matrices_rejected(shape):
-    with pytest.raises(ValueError, match="square"):
+    # Any stack, square systems too, is refused as determinant refuses it
+    message = f"^{re.escape(f'expected a square matrix, got shape {shape}')}$"
+    with pytest.raises(ValueError, match=message):
         solve(np.ones(shape), np.ones(shape[:2]))
+    with pytest.raises(ValueError, match=message):
+        determinant(np.ones(shape))
 
 
 def _outcome(run):
@@ -217,9 +216,11 @@ def _checked_nested(stacks):
 
 
 def _solved_one_by_one(stacks):
+    # Each system solved alone, the smallest step first
     def run():
         for t in range(1, len(stacks) + 1):
-            solve(stacks[t], np.ones(stacks[t].shape[:2]))
+            for a in stacks[t]:
+                solve(a, np.ones(t))
 
     return _outcome(run)
 
@@ -378,7 +379,7 @@ def test_pivot_test_raises_what_a_plain_elimination_raises(bad):
         want = _plain_outcome([stack])
         assert want is not None
         assert _outcome(lambda: check_steps([stack])) == want
-        assert _outcome(lambda: solve(stack, np.ones((2, 3)))) == want
+        assert _outcome(lambda: [solve(a, np.ones(3)) for a in stack]) == want
 
 
 # Four values packed within 3e-13, and the tight clusters only the pivot test refuses
@@ -397,7 +398,7 @@ def test_moment_systems_fail_as_a_plain_elimination_fails(values, monkeypatch):
     want = _plain_outcome(steps)
     assert want is not None
     assert _outcome(lambda: check_steps(steps[::-1])) == want
-    assert _outcome(lambda: [solve(a, np.ones(a.shape[:2])) for a in steps]) == want
+    assert _outcome(lambda: [solve(a, np.ones(len(a))) for step in steps for a in step]) == want
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
         assert _outcome(lambda: core.assemble_matrix(values)) == want
