@@ -174,10 +174,12 @@ def int_matrix_to_c_header(
 ) -> str:
     """Render an integer matrix as a C table, optionally behind a macro.
     Raises ``ValueError`` for a name that is not a C identifier or is a C11
-    or C23 keyword."""
+    or C23 keyword, and for a macro named as the table."""
     for name in (macro_name, var_name):
         if name is not None and (name in _C_KEYWORDS or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name)):
             raise ValueError(f"{name!r} is not a C identifier")
+    if macro_name == var_name:
+        raise ValueError(f"the macro and the table are both named {var_name!r}")
     n = im.n
     rows = ["{ " + r + " }" for r in _table(im.entries, "%d", ", ", align=True).splitlines()]
     if macro_name is None:

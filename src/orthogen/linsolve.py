@@ -3,7 +3,9 @@
 Step t of the induction has a ``(k, t, t)`` stack of moment systems, and
 ``check_steps`` pivot-tests the stacks of consecutive steps, the largest
 first, in one Gaussian elimination with partial pivoting, raising what solving
-each system one by one, the smallest step first, raises.
+each system one by one, the smallest step first, raises. Each Schur-complement
+entry takes one rounded product, then one subtraction, as in the plain
+per-system elimination (Golub & Van Loan, Matrix Computations, sec. 3.2).
 ``core.assemble_matrix`` and ``core.induct_basis`` run only this test, once
 per build, which is where their remaining refusals come from; the
 coefficients come from the three-term recurrence. The test first equilibrates
@@ -59,39 +61,44 @@ def check_steps(stacks: Iterable[np.ndarray]) -> None:
     size, nonfinite, zero_column, floor = [], [], [], []
     pivots = []  # per column, the pivots of the systems present
 
-    def join(a: np.ndarray, t: int) -> np.ndarray:
+    def join(a: np.ndarray, t: int, above: int) -> np.ndarray:
+        # Equilibrates the stack into a new work array, below `above` rows
+        # left for the updated systems; the first stack keeps ldexp's dtype.
         if np.shape(a)[1:] != (t, t):
             raise ValueError(f"expected a stack of {t} x {t} systems, got shape {np.shape(a)}")
-        col_maxima = np.abs(a).max(axis=1)  # NaN or inf where a column is not finite
+        col_maxima = np.maximum.reduce(np.abs(a), axis=1)  # NaN or inf where a column is not finite
         size.extend([t] * len(a))
-        nonfinite.extend([not col_maxima.max() < np.inf] * len(a))
+        nonfinite.extend([not np.maximum.reduce(col_maxima, axis=None) < np.inf] * len(a))
         a = np.ldexp(a, -np.frexp(col_maxima)[1][:, None, :])
-        mantissas, exponents = np.frexp(np.abs(a).max(axis=2))
-        zero_column.append((col_maxima == 0.0).any(axis=1))
-        floor.append(PIVOT_RTOL * mantissas.max(axis=1))
-        return np.ldexp(a, -exponents[:, :, None])
+        mantissas, exponents = np.frexp(np.maximum.reduce(np.abs(a), axis=2))
+        zero_column.append(np.logical_or.reduce(col_maxima == 0.0, axis=1))
+        floor.append(PIVOT_RTOL * np.maximum.reduce(mantissas, axis=1))
+        out = np.empty((above + len(a), t, t), float if above else a.dtype)
+        np.ldexp(a, -exponents[:, :, None], out=out[above:])
+        return out
 
     # A failing system runs on into zero pivots and NaN, a non-finite one into
     # NaN; neither touches another system. Each is refused after the loop, a
     # failing one by the first bad pivot, which it meets as it would alone.
     with np.errstate(invalid="ignore"):
-        work = join(work, np.shape(work)[-1])
-        for t in range(work.shape[-1] - 1, -1, -1):
-            systems = np.arange(len(work))
+        work = join(work, np.shape(work)[-1], 0)
+        systems = np.arange(len(work))
+        for t in range(work.shape[-1] - 1, 0, -1):
             p = np.abs(work[:, :, 0]).argmax(axis=1)
             pivot_rows = work[systems, p]
             work[systems, p] = work[:, 0]
             pivots.append(pivot_rows[:, 0].copy())
             factors = work[:, 1:, 0] / pivot_rows[:, 0, None]
             # The stack of size t, if any, joins below the updated systems.
-            a = next(stacks, None) if t else None
-            joining = np.empty((0, t, t)) if a is None else join(a, t)
-            updated = np.empty((len(work) + len(joining), t, t))
+            a = next(stacks, None)
+            updated = np.empty((len(work), t, t)) if a is None else join(a, t, len(work))
+            # One product per entry, rounded in the work's dtype, then one subtraction.
             present = updated[: len(work)]
-            np.multiply(factors[:, :, None], pivot_rows[:, None, 1:], out=present)
+            present[...] = factors[:, :, None]
+            np.multiply(present, pivot_rows[:, None, 1:], out=present, dtype=work.dtype)
             np.subtract(work[:, 1:, 1:], present, out=present)
-            updated[len(work) :] = joining
-            work = updated
+            work, systems = updated, systems if a is None else np.arange(len(updated))
+    pivots.append(work[:, 0, 0])  # the last column's: one row is left
     # Row j of the table holds the pivots of the systems present at column j;
     # a system that joins later reads inf there, which passes the test.
     size, nonfinite = np.array(size), np.array(nonfinite)

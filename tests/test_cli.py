@@ -567,6 +567,16 @@ def test_quantize_refuses_a_c_name_that_is_not_an_identifier(capsys, flag, name)
     assert err == f"error: {name!r} is not a C identifier\n"
 
 
+def test_quantize_refuses_a_macro_named_as_the_table(capsys):
+    status, out, err = run(
+        capsys, "quantize", "--preset", "dct", "--size", "4", "--format", "c-header",
+        "--var-name", "X", "--macro-name", "X",
+    )
+    assert status == 2
+    assert out == ""
+    assert err == "error: the macro and the table are both named 'X'\n"
+
+
 @pytest.mark.parametrize("flag", ["--var-name", "--macro-name"])
 @pytest.mark.parametrize("fmt", ["pretty", "csv", "json"])
 def test_quantize_refuses_a_c_name_outside_c_header(capsys, flag, fmt):

@@ -196,6 +196,15 @@ def test_c_header_with_macro():
     assert "static const int g_tiny[2][2] = DEFINE_TINY_MATRIX;" in text
 
 
+def test_c_header_refuses_a_macro_named_as_the_table():
+    # The macro would expand inside the declaration: `static const int X[2][2] = X;`
+    im = quantize_matrix(assemble_matrix([1.0]), scale=np.sqrt(2))
+    with pytest.raises(ValueError, match="^the macro and the table are both named 'X'$"):
+        io.int_matrix_to_c_header(im, var_name="X", macro_name="X")
+    with pytest.raises(ValueError, match="^the macro and the table are both named 'g_mat'$"):
+        io.int_matrix_to_c_header(im, macro_name="g_mat")  # the default table name
+
+
 def test_parse_matrix_errors():
     with pytest.raises(ValueError):
         io.parse_matrix_csv("")

@@ -9,6 +9,7 @@ from orthogen import core, linsolve
 from orthogen.core import build_even_system, build_odd_system
 from orthogen.errors import ConditioningWarning, SingularSystemError
 from orthogen.linsolve import PIVOT_RTOL, check_steps, determinant, solve
+from orthogen.presets import preset_values
 from test_core import TIGHT_CLUSTERS
 
 
@@ -95,6 +96,11 @@ def test_inputs_not_mutated():
     determinant(a)
     np.testing.assert_array_equal(a, a_copy)
     np.testing.assert_array_equal(rhs, rhs_copy)
+    # Each stack a generator yields is equilibrated into the elimination's own array
+    stacks = [_graded_systems(np.random.default_rng(43), 2, t)[0] for t in (3, 2, 1)]
+    copies = [stack.copy() for stack in stacks]
+    check_steps(stack for stack in stacks)
+    assert [stack.tobytes() for stack in stacks] == [c.tobytes() for c in copies]
 
 
 def test_pow2_scales_match_the_frexp_loop():
@@ -382,9 +388,7 @@ def test_pivot_test_raises_what_a_plain_elimination_raises(bad):
         assert _outcome(lambda: [solve(a, np.ones(3)) for a in stack]) == want
 
 
-# Four values packed within 3e-13, and the tight clusters only the pivot test refuses
-@pytest.mark.parametrize("values", [[1, 1.0000000000001, 1.0000000000002, 1.0000000000003], *TIGHT_CLUSTERS])
-def test_moment_systems_fail_as_a_plain_elimination_fails(values, monkeypatch):
+def _moment_steps(values, monkeypatch):
     # The rows come from _canonical with the pivot test switched off; each
     # step's systems are then formed alone by the public builders
     monkeypatch.setattr(linsolve, "check_steps", lambda stacks: None)
@@ -394,7 +398,13 @@ def test_moment_systems_fail_as_a_plain_elimination_fails(values, monkeypatch):
     monkeypatch.undo()
     m = y.size
     basis = core.ReducedBasis(y, list(rows[0::2]), list(rows[1::2]), [], [])
-    steps = [np.array([build_even_system(basis, t).matrix, build_odd_system(basis, t).matrix]) for t in range(1, m)]
+    return [np.array([build_even_system(basis, t).matrix, build_odd_system(basis, t).matrix]) for t in range(1, m)]
+
+
+# Four values packed within 3e-13, and the tight clusters only the pivot test refuses
+@pytest.mark.parametrize("values", [[1, 1.0000000000001, 1.0000000000002, 1.0000000000003], *TIGHT_CLUSTERS])
+def test_moment_systems_fail_as_a_plain_elimination_fails(values, monkeypatch):
+    steps = _moment_steps(values, monkeypatch)
     want = _plain_outcome(steps)
     assert want is not None
     assert _outcome(lambda: check_steps(steps[::-1])) == want
@@ -402,3 +412,27 @@ def test_moment_systems_fail_as_a_plain_elimination_fails(values, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
         assert _outcome(lambda: core.assemble_matrix(values)) == want
+
+
+# The largest sizes each preset returns, and the first it refuses
+@pytest.mark.parametrize("name, n, refused", [("fibonacci", 36, False), ("fibonacci", 38, True),
+                                              ("triangular", 94, False), ("triangular", 96, True)])
+def test_preset_refusal_boundaries_match_a_plain_elimination(name, n, refused, monkeypatch):
+    steps = _moment_steps(preset_values(name, n), monkeypatch)
+    want = _plain_outcome(steps)
+    assert (want is not None) == refused
+    assert _outcome(lambda: check_steps(steps[::-1])) == want
+
+
+def test_signed_zeros_reach_the_pivots_as_in_a_plain_elimination():
+    # Stacks of -1, -0.0, 0.0 and 1, mostly singular: each product is rounded
+    # alone, so a -0.0 product stays -0.0 and the pivot's printed sign is the
+    # plain elimination's (a product added to zeros would turn it into 0.0)
+    rng = np.random.default_rng(47)
+    outcomes = []
+    for _ in range(400):
+        t = int(rng.integers(2, 6))
+        stack = rng.integers(-1, 2, (2, t, t)) * rng.choice([-1.0, 1.0], (2, t, t))
+        outcomes.append(_plain_outcome([stack]))
+        assert _outcome(lambda: check_steps([stack])) == outcomes[-1]
+    assert sum(str(o).count("pivot -0.000e+00") for o in outcomes) > 0
