@@ -8,7 +8,7 @@ import pytest
 from orthogen import core, linsolve
 from orthogen.core import build_even_system, build_odd_system
 from orthogen.errors import ConditioningWarning, SingularSystemError
-from orthogen.linsolve import PIVOT_RTOL, check_steps, determinant, solve
+from orthogen.linsolve import BATCHED_SIZE, PIVOT_RTOL, check_steps, determinant, solve
 from orthogen.presets import preset_values
 from test_core import TIGHT_CLUSTERS
 
@@ -210,13 +210,14 @@ def _outcome(run):
 
 def _checked_nested(stacks):
     # One elimination for the stacks of steps 1..s; records which stacks
-    # were formed, in order.
+    # were formed, in order, and fails if one more is asked for.
     formed = []
 
     def drawn():
         for t in range(len(stacks), 0, -1):
             formed.append(t)
             yield stacks[t]
+        raise AssertionError("drawn past the stack of size 1")
 
     return _outcome(lambda: check_steps(drawn())), formed
 
@@ -242,26 +243,38 @@ def _with(stack, at, bad):
 
 NON_FINITE = [[1.0, 0.0, 0.0], [0.0, np.nan, 0.0], [0.0, 0.0, 1.0]]
 FAILING = [FAILS_LATE, FAILS_EARLY, ZERO_COLUMN, [[0.0]], NON_FINITE]
+B = BATCHED_SIZE  # steps of this size and below join the elimination as one batch
 
 
 def test_nested_steps_raise_what_solving_one_by_one_raises():
+    # Six steps, all joining as one batch, then a few more than BATCHED_SIZE,
+    # which join one per column down to it: each failing matrix at each step
+    # and in either system, above, at and below the bound
     rng = np.random.default_rng(23)
-    s = 6
-    for _ in range(6):
-        stacks = {t: _graded_systems(rng, 2, t)[0] for t in range(1, s + 1)}
-        assert _checked_nested(stacks) == (None, list(range(s, 0, -1)))
-        for bad in FAILING:
-            for t in range(len(bad), s + 1):
-                for at in (0, 1):
-                    failing = {**stacks, t: _with(stacks[t], at, bad)}
-                    outcome, formed = _checked_nested(failing)
-                    assert outcome == _solved_one_by_one(failing) is not None
-                    assert formed == list(range(s, 0, -1))
-    # Two failing steps: the smaller wins, although the larger joins first
-    for (t, bad), (u, worse) in [((3, FAILS_LATE), (1, [[0.0]])), ((1, [[0.0]]), (4, FAILS_LATE)),
-                                 ((5, ZERO_COLUMN), (3, FAILS_EARLY)), ((4, NON_FINITE), (6, FAILS_EARLY))]:
-        failing = {**stacks, t: _with(stacks[t], 1, bad), u: _with(stacks[u], 0, worse)}
-        assert _checked_nested(failing)[0] == _solved_one_by_one(failing) is not None
+    pairs = {6: [((3, FAILS_LATE), (1, [[0.0]])), ((1, [[0.0]]), (4, FAILS_LATE)),
+                 ((5, ZERO_COLUMN), (3, FAILS_EARLY)), ((4, NON_FINITE), (6, FAILS_EARLY))],
+             B + 3: [((B + 3, FAILS_LATE), (3, [[0.0]])), ((B, FAILS_EARLY), (B + 1, NON_FINITE)),
+                     ((B + 1, ZERO_COLUMN), (B + 2, FAILS_EARLY)), ((B - 1, NON_FINITE), (B + 2, FAILS_LATE))]}
+    for s, rounds in ((6, 6), (B + 3, 2)):
+        for _ in range(rounds):
+            stacks = {t: _graded_systems(rng, 2, t)[0] for t in range(1, s + 1)}
+            assert _checked_nested(stacks) == (None, list(range(s, 0, -1)))
+            for bad in FAILING:
+                for t in range(len(bad), s + 1):
+                    for at in (0, 1):
+                        failing = {**stacks, t: _with(stacks[t], at, bad)}
+                        outcome, formed = _checked_nested(failing)
+                        assert outcome == _solved_one_by_one(failing) is not None
+                        assert formed == list(range(s, 0, -1))
+        # Two failing steps: the smaller wins, although the larger joins first
+        for (t, bad), (u, worse) in pairs[s]:
+            failing = {**stacks, t: _with(stacks[t], 1, bad), u: _with(stacks[u], 0, worse)}
+            assert _checked_nested(failing)[0] == _solved_one_by_one(failing) is not None
+        # A failing system before a non-finite one in the same stack: the
+        # stack is checked for finite entries as a whole, so ValueError wins
+        for t in sorted({4, min(B, s), s}):
+            failing = {**stacks, t: _with(_with(stacks[t], 0, FAILS_EARLY), 1, NON_FINITE)}
+            assert _checked_nested(failing) == ((ValueError, "matrix entries must be finite"), list(range(s, 0, -1)))
 
 
 def _eye_steps(s):
@@ -269,26 +282,49 @@ def _eye_steps(s):
 
 
 @pytest.mark.parametrize(
-    "stacks",
+    "steps, stacks",
     [
-        [(3, FAILS_EARLY), (4, NON_FINITE), (5, [[1.0, 2.0], [2.0, 4.0]])],
-        [(3, NON_FINITE), (4, FAILS_EARLY), (5, [[0.0]])],
-        [(1, [[0.0]]), (3, FAILS_LATE), (5, NON_FINITE)],
-        [(3, NON_FINITE), (5, FAILS_LATE)],
-        [(5, NON_FINITE)],
+        pytest.param(5, [(3, FAILS_EARLY), (4, NON_FINITE), (5, [[1.0, 2.0], [2.0, 4.0]])], id="stacks0"),
+        pytest.param(5, [(3, NON_FINITE), (4, FAILS_EARLY), (5, [[0.0]])], id="stacks1"),
+        pytest.param(5, [(1, [[0.0]]), (3, FAILS_LATE), (5, NON_FINITE)], id="stacks2"),
+        pytest.param(5, [(3, NON_FINITE), (5, FAILS_LATE)], id="stacks3"),
+        pytest.param(5, [(5, NON_FINITE)], id="stacks4"),
+        pytest.param(B + 3, [(B - 2, FAILS_EARLY), (B, NON_FINITE), (B + 2, [[1.0, 2.0], [2.0, 4.0]])], id="bound0"),
+        pytest.param(B + 3, [(B - 1, NON_FINITE), (B + 1, FAILS_EARLY), (B + 3, [[0.0]])], id="bound1"),
+        pytest.param(B + 3, [(1, [[0.0]]), (B, FAILS_LATE), (B + 3, NON_FINITE)], id="bound2"),
+        pytest.param(B + 3, [(B + 1, NON_FINITE), (B + 3, FAILS_LATE)], id="bound3"),
+        pytest.param(B + 3, [(B, NON_FINITE)], id="bound4"),
     ],
 )
-def test_the_first_invalid_stack_stops_the_test(stacks):
-    # ``stacks`` places failing matrices at some of steps 1..5. A non-finite
-    # stack raises ValueError unless a smaller step fails the pivot test, as
+def test_the_first_invalid_stack_stops_the_test(steps, stacks):
+    # ``stacks`` places failing matrices at some of steps 1..steps, all in
+    # the batch, or above, at and below BATCHED_SIZE. A non-finite stack
+    # raises ValueError unless a smaller step fails the pivot test, as
     # solving the steps one by one, the smallest first, stops at the first
     # that raises; every stack is still formed once
-    placed = _eye_steps(5)
+    placed = _eye_steps(steps)
     for t, bad in stacks:
         placed[t] = _with(placed[t], 1, bad)
     outcome, formed = _checked_nested(placed)
     assert outcome == _solved_one_by_one(placed) is not None
-    assert formed == [5, 4, 3, 2, 1]
+    assert formed == list(range(steps, 0, -1))
+
+
+def test_a_stack_that_is_not_double_joins_at_its_own_column():
+    # A stack of another dtype ends the batch and joins one per column, where
+    # ldexp rounds it in its own dtype, as when it is the only stack: the
+    # refusal of the one failing step reads the same alone and among the
+    # other steps, whatever their dtypes, in the batch or above it
+    for s in (5, B + 3):
+        for bad_at in (2, s):
+            double = _eye_steps(s)
+            double[bad_at] = _with(double[bad_at], 1, [[1.0, 2.0], [2.0, 4.0]])
+            for t in range(1, s + 1):
+                for dtype in (np.float16, np.float32, np.int64):
+                    steps = {**double, t: double[t].astype(dtype)}
+                    alone = _outcome(lambda: check_steps([steps[bad_at]]))
+                    assert alone is not None
+                    assert _checked_nested(steps) == (alone, list(range(s, 0, -1)))
 
 
 def test_equal_sizes_join_at_the_first_column_as_one_stack():
@@ -304,32 +340,39 @@ def test_equal_sizes_join_at_the_first_column_as_one_stack():
 
 
 def test_check_steps_forms_every_stack_once_largest_first():
-    stacks = {1: np.ones((1, 1, 1)), 2: np.eye(2)[None], 3: np.array([REGULAR, REGULAR])}
-    assert _checked_nested(stacks) == (None, [3, 2, 1])
+    # Three steps, all joining as one batch, then a few more than BATCHED_SIZE
+    small = {1: np.ones((1, 1, 1)), 2: np.eye(2)[None], 3: np.array([REGULAR, REGULAR])}
+    for stacks in (small, _eye_steps(B + 3)):
+        s = len(stacks)
+        assert _checked_nested(stacks) == (None, list(range(s, 0, -1)))
 
-    def and_more():
-        yield from (stacks[t] for t in (3, 2, 1))
-        raise AssertionError("drawn past the stack of size 1")
+        def and_more():
+            yield from (stacks[t] for t in range(s, 0, -1))
+            raise AssertionError("drawn past the stack of size 1")
 
-    check_steps(and_more())
-    # Sizes may stop short of 1; no steps: nothing is formed
-    assert check_steps([stacks[3], stacks[2]]) is None
+        check_steps(and_more())
+        # Sizes may stop short of 1, in the batch or above it
+        assert check_steps([stacks[t] for t in range(s, 1, -1)]) is None
+        assert check_steps([stacks[s], stacks[s - 1]]) is None
+    # No steps: nothing is formed
     assert check_steps([]) is None
 
 
 def test_each_stack_is_used_before_the_next_is_drawn():
-    # A generator may refill one buffer for every stack it yields
+    # A generator may refill one buffer for every stack it yields: five
+    # steps, all joining as one batch, then a few more than BATCHED_SIZE
     rng = np.random.default_rng(37)
-    stacks = {t: _graded_systems(rng, 2, t)[0] for t in range(1, 6)}
-    stacks[4] = _with(stacks[4], 1, FAILS_LATE)
-    buffer = np.empty((2, 5, 5))
+    for s in (5, B + 3):
+        stacks = {t: _graded_systems(rng, 2, t)[0] for t in range(1, s + 1)}
+        stacks[4] = _with(stacks[4], 1, FAILS_LATE)
+        buffer = np.empty((2, s, s))
 
-    def refilled():
-        for t in range(5, 0, -1):
-            buffer[:, :t, :t] = stacks[t]
-            yield buffer[:, :t, :t]
+        def refilled():
+            for t in range(s, 0, -1):
+                buffer[:, :t, :t] = stacks[t]
+                yield buffer[:, :t, :t]
 
-    assert _outcome(lambda: check_steps(refilled())) == _checked_nested(stacks)[0] is not None
+        assert _outcome(lambda: check_steps(refilled())) == _checked_nested(stacks)[0] is not None
 
 
 @pytest.mark.parametrize(
@@ -341,6 +384,19 @@ def test_a_stack_of_the_wrong_size_raises_value_error(shapes):
     # Each stack after the first must be one smaller than the one before
     with pytest.raises(ValueError, match="expected a stack of"):
         check_steps(np.ones(shape) for shape in shapes)
+
+
+@pytest.mark.parametrize(
+    "stacks, shape",
+    [([np.ones((0, 3, 3))], (0, 3, 3)), ([np.ones((1, 0, 0))], (1, 0, 0)),
+     ([np.ones((1, 3, 3)), np.ones((0, 2, 2))], (0, 2, 2)),
+     ([np.eye(B + 1)[None], np.ones((0, B, B))], (0, B, B)), ([np.float64(1.0)], ())],
+    ids=["no-systems", "empty-systems", "no-systems-joining", "no-systems-joining-the-batch", "scalar"],
+)
+def test_an_empty_stack_raises_value_error(stacks, shape):
+    message = f"expected a non-empty stack of systems, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_steps(stacks)
 
 
 def _plain_pivot_test(a):
@@ -401,10 +457,12 @@ def _moment_steps(values, monkeypatch):
     return [np.array([build_even_system(basis, t).matrix, build_odd_system(basis, t).matrix]) for t in range(1, m)]
 
 
-# Four values packed within 3e-13, and the tight clusters only the pivot test refuses
+# Four values packed within 3e-13, and the tight clusters only the pivot test
+# refuses; every step joins as one batch, so the batch makes the refusal
 @pytest.mark.parametrize("values", [[1, 1.0000000000001, 1.0000000000002, 1.0000000000003], *TIGHT_CLUSTERS])
 def test_moment_systems_fail_as_a_plain_elimination_fails(values, monkeypatch):
     steps = _moment_steps(values, monkeypatch)
+    assert len(steps) <= BATCHED_SIZE
     want = _plain_outcome(steps)
     assert want is not None
     assert _outcome(lambda: check_steps(steps[::-1])) == want
@@ -422,6 +480,17 @@ def test_preset_refusal_boundaries_match_a_plain_elimination(name, n, refused, m
     want = _plain_outcome(steps)
     assert (want is not None) == refused
     assert _outcome(lambda: check_steps(steps[::-1])) == want
+
+
+# The refused presets and their smallest failing steps, all above BATCHED_SIZE,
+# where the stacks join one per column
+@pytest.mark.parametrize("name, n, failing", [("fibonacci", 38, 18), ("triangular", 96, 47), ("prime", 162, 79),
+                                              ("dtt", 252, 125), ("dtt", 256, 126)])
+def test_preset_refusals_come_from_steps_above_the_batch(name, n, failing, monkeypatch):
+    steps = _moment_steps(preset_values(name, n), monkeypatch)
+    assert failing > BATCHED_SIZE
+    assert check_steps(steps[failing - 2 :: -1]) is None
+    assert _outcome(lambda: check_steps(steps[::-1])) == _plain_outcome([steps[failing - 1]]) is not None
 
 
 def test_signed_zeros_reach_the_pivots_as_in_a_plain_elimination():
