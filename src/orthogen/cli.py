@@ -238,43 +238,61 @@ def _cmd_transform(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# The subcommands, in the order help lists them.
+_COMMANDS = ("generate", "verify", "quantize", "transform")
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole parser, or with ``command`` only that subcommand's branch,
+    which parses a command line naming it first, and words every message, as
+    the whole tree does."""
     parser = argparse.ArgumentParser(
         prog="orthogen",
         description="Generate and apply discrete orthogonal transform matrices.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # One branch keeps the usage line naming every subcommand through the
+    # metavar. argparse's errors about the subcommand itself (none given, or
+    # an unknown one) name it by the metavar, so the whole tree, the only
+    # parser that meets them, leaves it unset.
+    every = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
 
-    gen = sub.add_parser("generate", help="generate an orthogonal matrix")
-    _add_source_args(gen)
-    gen.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
-    gen.set_defaults(handler=_cmd_generate)
+    if command in (None, "generate"):
+        gen = sub.add_parser("generate", help="generate an orthogonal matrix")
+        _add_source_args(gen)
+        gen.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
+        gen.set_defaults(handler=_cmd_generate)
 
-    ver = sub.add_parser("verify", help="check a matrix file for orthonormality")
-    ver.add_argument("path", help="matrix file (CSV or JSON)")
-    ver.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    ver.set_defaults(handler=_cmd_verify)
+    if command in (None, "verify"):
+        ver = sub.add_parser("verify", help="check a matrix file for orthonormality")
+        ver.add_argument("path", help="matrix file (CSV or JSON)")
+        ver.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+        ver.set_defaults(handler=_cmd_verify)
 
-    qnt = sub.add_parser("quantize", help="emit an integer-scaled matrix")
-    _add_source_args(qnt)
-    qnt.add_argument("--scale", default="auto", help="positive factor or 'auto' (64*sqrt(n))")
-    qnt.add_argument("--format", choices=("pretty", "csv", "json", "c-header"), default="pretty")
-    qnt.add_argument("--var-name", help="C variable name (c-header format)")
-    qnt.add_argument("--macro-name", help="C macro name (c-header format)")
-    qnt.set_defaults(handler=_cmd_quantize)
+    if command in (None, "quantize"):
+        qnt = sub.add_parser("quantize", help="emit an integer-scaled matrix")
+        _add_source_args(qnt)
+        qnt.add_argument("--scale", default="auto", help="positive factor or 'auto' (64*sqrt(n))")
+        qnt.add_argument("--format", choices=("pretty", "csv", "json", "c-header"), default="pretty")
+        qnt.add_argument("--var-name", help="C variable name (c-header format)")
+        qnt.add_argument("--macro-name", help="C macro name (c-header format)")
+        qnt.set_defaults(handler=_cmd_quantize)
 
-    tra = sub.add_parser("transform", help="apply a matrix to a sample block")
-    _add_source_args(tra, with_matrix_file=True)
-    tra.add_argument("--block", required=True, help="block file (CSV or PGM)")
-    tra.add_argument("--direction", choices=("fwd", "inv"), default="fwd")
-    tra.add_argument("--keep", type=int, help="coefficients to keep for the compaction report")
-    tra.add_argument("--report", help="path for the compaction report JSON (default: stdout)")
-    tra.set_defaults(handler=_cmd_transform)
+    if command in (None, "transform"):
+        tra = sub.add_parser("transform", help="apply a matrix to a sample block")
+        _add_source_args(tra, with_matrix_file=True)
+        tra.add_argument("--block", required=True, help="block file (CSV or PGM)")
+        tra.add_argument("--direction", choices=("fwd", "inv"), default="fwd")
+        tra.add_argument("--keep", type=int, help="coefficients to keep for the compaction report")
+        tra.add_argument("--report", help="path for the compaction report JSON (default: stdout)")
+        tra.set_defaults(handler=_cmd_transform)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A command line naming a subcommand first is parsed by that branch alone.
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

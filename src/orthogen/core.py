@@ -64,8 +64,9 @@ def _validated(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndar
     gaps = (ascending[1:] - ascending[:-1]) / ascending[1:]
     repeats = order[1:][gaps == 0.0]
     if repeats.size:
-        # The repeat a scan in input order meets first.
-        raise DegenerateValuesError(f"duplicate value {arr[repeats.min()]:g}")
+        # The repeat a scan in input order meets first, as repr writes it
+        # (shortest round trip) less a trailing ".0".
+        raise DegenerateValuesError(f"duplicate value {float(arr[repeats.min()])!r}".removesuffix(".0"))
     # Values between the members of a close pair are closer still to them,
     # so checking neighbours in sorted order warns for every close cluster.
     for k in np.flatnonzero(gaps < NEAR_DUPLICATE_RTOL):
@@ -192,10 +193,14 @@ def _canonical(values: Sequence[float]) -> tuple:
     finite = np.isfinite(rows).all(axis=1)
     steps = m - 1 if finite.all() else min(m - 1, int(finite.argmin()) // 2)
 
+    # Entry (parity, i, j) is row 2i + parity at sample j, and power 2i + parity
+    # of sample j at (parity, j, i).
+    evals = rows.reshape(m, 2, m).transpose(1, 0, 2)
+    monomials = powers.reshape(m, 2, m).transpose(1, 2, 0)
+
     def moments(t: int) -> np.ndarray:
         # Entry (parity, i, p) is row 2i + parity times powers 2(t-1-p) + parity.
-        evals = rows[: 2 * t].reshape(t, 2, m).transpose(1, 0, 2)
-        return evals @ powers.reshape(m, 2, m)[t - 1 :: -1].transpose(1, 2, 0)
+        return evals[:, :t] @ monomials[:, :, t - 1 :: -1]
 
     linsolve.check_steps(moments(t) for t in range(steps, 0, -1))
     return raw, order, unit, y, rows, energy, gaps.min(initial=np.inf)

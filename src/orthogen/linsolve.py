@@ -7,14 +7,13 @@ each system one by one, the smallest step first, raises. Each Schur-complement
 entry takes one rounded product, then one subtraction, as in the plain
 per-system elimination (Golub & Van Loan, Matrix Computations, sec. 3.2).
 ``core.assemble_matrix`` and ``core.induct_basis`` run only this test, once
-per build, which is where their remaining refusals come from; the
-coefficients come from the three-term recurrence. The test first equilibrates
-each system with power-of-two row/column scales, applied as exponents with
-``ldexp`` so that no scale overflows; that is exact in binary64 and makes the
-pivot threshold respond to genuine rank deficiency instead of the heavy
-grading the moment systems carry. Each row's largest magnitude is then the
-mantissa ``frexp`` returned for it, so the pivot floor, ``PIVOT_RTOL`` times
-the largest equilibrated entry, is read off the largest of those mantissas.
+per build, which makes their remaining refusals. It first equilibrates each
+system with power-of-two column, then row, scales, applied as exponents with
+``ldexp`` so that no scale overflows: exact in binary64, and the pivot
+threshold then responds to genuine rank deficiency, not to the moment systems'
+heavy grading. Each row's largest magnitude is then the mantissa ``frexp``
+returned for it, so the pivot floor, ``PIVOT_RTOL`` times the largest
+equilibrated entry, is read off the largest of those mantissas.
 Above ``BATCHED_SIZE`` a stack joins the elimination, equilibrated, when the
 elimination reaches its size, one per column. When it reaches
 ``BATCHED_SIZE``, the stacks left join as one batch, each padded with an
@@ -24,9 +23,9 @@ is +0 and each real entry becomes a - (+0) = a, -0.0, inf and NaN included;
 the identity's pivots read 0.5 once equilibrated, above every floor; and it
 changes no real column's maximum, no real row's mantissa and no system's
 floor, so every pivot, refusal and message is the per-column join's.
-``solve`` is the test on one system followed by LAPACK's solve, and reproduces
-the paper's moment-system route to the coefficients. ``determinant`` is
-NumPy's LU determinant. Inputs are never mutated.
+``solve`` is the test on one system followed by LAPACK's solve, the paper's
+route to the coefficients. ``determinant`` is NumPy's LU determinant. Inputs
+are never mutated.
 """
 
 from __future__ import annotations
@@ -79,9 +78,7 @@ def check_steps(stacks: Iterable[np.ndarray]) -> None:
     work = next(stacks, None)
     if work is None:
         return
-    # Per system, in joining order: its size, whether it is not finite,
-    # whether it has a zero column, and its pivot floor.
-    size, nonfinite, zero_column, floor = [], [], [], []
+    size, floor, col_maxima = [], [], []  # per system its size and pivot floor; per join, its column maxima
     pivots = []  # per column, the pivots of the systems present
     held = []  # a stack the batch drew but left to join at its own column
 
@@ -96,12 +93,12 @@ def check_steps(stacks: Iterable[np.ndarray]) -> None:
         return a
 
     def batch(a: np.ndarray) -> np.ndarray:
-        # `a` and every stack left, each copied as it is drawn into the
-        # bottom-right block of an identity-padded (k, t, t) slot. A stack
-        # that is not double is held, to join at its own column (where ldexp
-        # rounds it in its own dtype) before anything more is drawn.
-        t = a.shape[-1]
-        slots, eye = [], np.eye(t)[None]
+        # `a` and every stack left, each copied as drawn into its slot's bottom-right
+        # block in one identity-padded batch, grown for a stack with more systems. A
+        # stack that is not double is held, to join at its own column in its dtype.
+        t, end = a.shape[-1], 0
+        out = np.zeros((len(a) * t, t, t))
+        out.reshape(len(out), -1)[:, :: t + 1] = 1.0
         for s in range(t, 0, -1):
             if s < t:
                 a = next(stacks, None)
@@ -111,43 +108,40 @@ def check_steps(stacks: Iterable[np.ndarray]) -> None:
                 if a.dtype != float:
                     held.append(a)
                     break
-            slot = eye.repeat(len(a), axis=0)
-            slot[:, t - s :, t - s :] = a
-            slots.append(slot)
+            if end + len(a) > len(out):
+                out = np.concatenate([out[:end], np.eye(t)[None].repeat(len(a) * s, axis=0)])
+            out[end : end + len(a), t - s :, t - s :] = a
+            end += len(a)
             size.extend([s] * len(a))
-        return np.concatenate(slots)
+        return out[:end]
 
     def join(a, t: int | None, above: int) -> np.ndarray:
-        # Equilibrates the stack, with every stack left at BATCHED_SIZE and
-        # below, into a new work array, below `above` rows left for the
-        # updated systems; the first stack, joining alone, keeps ldexp's dtype.
+        # Equilibrates the stack (at BATCHED_SIZE and below, with every stack left) into a new
+        # work array below `above` rows for the updated systems; the first keeps ldexp's array.
         a = checked(a, t)
         t = a.shape[-1]
         if t <= BATCHED_SIZE and a.dtype == float:
             a = batch(a)
         else:
             size.extend([t] * len(a))
-        col_maxima = np.maximum.reduce(np.abs(a), axis=1)  # NaN or inf where a column is not finite
-        nonfinite.append(~(np.maximum.reduce(col_maxima, axis=1) < np.inf))
-        a = np.ldexp(a, -np.frexp(col_maxima)[1][:, None, :])
+        col_maxima.append(np.maximum.reduce(np.abs(a), axis=1))  # NaN or inf where a column is not finite
+        a = np.ldexp(a, -np.frexp(col_maxima[-1])[1][:, None, :])
         mantissas, exponents = np.frexp(np.maximum.reduce(np.abs(a), axis=2))
-        zero_column.append(np.logical_or.reduce(col_maxima == 0.0, axis=1))
         floor.append(PIVOT_RTOL * np.maximum.reduce(mantissas, axis=1))
-        out = np.empty((above + len(a), t, t), float if above else a.dtype)
+        out = np.empty((above + len(a), t, t)) if above else a
         np.ldexp(a, -exponents[:, :, None], out=out[above:])
         return out
 
-    # A failing system runs on into zero pivots and NaN, a non-finite one into
-    # NaN; neither touches another system. Each is refused after the loop, a
-    # failing one by the first bad pivot, which it meets as it would alone.
+    # A failing system runs on into zero pivots and NaN, a non-finite one into NaN,
+    # touching no other: each meets its first bad pivot as alone, judged after the loop.
     with np.errstate(invalid="ignore"):
         work = join(work, None, 0)
         systems = np.arange(len(work))
         for t in range(work.shape[-1] - 1, 0, -1):
             p = np.abs(work[:, :, 0]).argmax(axis=1)
-            pivot_rows = work[systems, p]
+            pivot_rows = work[systems, p]  # a new array, which nothing writes to
             work[systems, p] = work[:, 0]
-            pivots.append(pivot_rows[:, 0].copy())
+            pivots.append(pivot_rows[:, 0])
             factors = work[:, 1:, 0] / pivot_rows[:, 0, None]
             # The stack of size t, if any and not in a batch (size[-1] is the
             # smallest size joined), joins below the updated systems.
@@ -160,11 +154,17 @@ def check_steps(stacks: Iterable[np.ndarray]) -> None:
             np.subtract(work[:, 1:, 1:], present, out=present)
             work, systems = updated, systems if a is None else np.arange(len(updated))
     pivots.append(work[:, 0, 0])  # the last column's: one row is left
-    # Row j of the table holds the pivots of the systems present at column j;
-    # a system that joins later, or the identity a small one is padded with,
-    # reads inf or 0.5 there, which passes the test.
-    size, nonfinite = np.array(size), np.concatenate(nonfinite)
-    floor, zero_column = np.concatenate(floor), np.concatenate(zero_column)
+    # After one join every system is present at every column. None fails if no column
+    # maximum is zero or not finite and no pivot is zero or below its floor.
+    if len(col_maxima) == 1 and 0.0 < col_maxima[0].min() and col_maxima[0].max() < np.inf:
+        table = np.abs(np.concatenate(pivots).reshape(len(pivots), -1))
+        if 0.0 < table.min() and np.minimum.reduce(table >= floor[0], axis=None):
+            return
+    # Row j of the table holds column j's pivots; a system that joins later,
+    # or a small one's padding, reads inf or 0.5 there, which passes.
+    size, floor = np.array(size), np.concatenate(floor)
+    nonfinite = np.concatenate([~(np.maximum.reduce(c, axis=1) < np.inf) for c in col_maxima])
+    zero_column = np.concatenate([np.logical_or.reduce(c == 0.0, axis=1) for c in col_maxima])
     table = np.full((len(pivots), size.size), np.inf)
     for j, column in enumerate(pivots):
         table[j, : column.size] = column

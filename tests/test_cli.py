@@ -11,7 +11,7 @@ import pytest
 
 import orthogen
 from oracles import exact_matrix
-from orthogen import core, io
+from orthogen import cli, core, io
 from orthogen.cli import main, verify_matrix
 from orthogen.core import assemble_matrix
 from orthogen.presets import preset_values
@@ -85,6 +85,13 @@ def test_generate_duplicate_values_exit_2(capsys):
     status, _, err = run(capsys, "generate", "--values", "1,1,2")
     assert status == 2
     assert "duplicate value 1" in err
+
+
+@pytest.mark.parametrize("values, named", [("0.1234567,0.12345671,0.1234567", "0.1234567"),
+                                           ("1.0000001,2,1.0000001", "1.0000001")])
+def test_duplicate_values_are_named_as_given(capsys, values, named):
+    status, out, err = run(capsys, "generate", "--values", values)
+    assert (status, out, err) == (2, "", f"error: duplicate value {named}\n")
 
 
 def test_generate_non_positive_exit_2(capsys):
@@ -813,3 +820,30 @@ def test_transform_size_mismatch_exit_2(tmp_path, capsys):
     )
     assert status == 2
     assert "does not match" in err
+
+
+# Each subcommand with arguments it parses, which leave an unknown option
+# to the top level's error
+COMMAND_ARGS = {
+    None: [],
+    "generate": ["--preset", "dct", "--size", "4"],
+    "verify": ["m.csv"],
+    "quantize": ["--preset", "dct", "--size", "4"],
+    "transform": ["--preset", "dct", "--size", "4", "--block", "b.csv"],
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_ARGS)
+def test_a_command_line_parses_as_in_the_whole_tree(capsys, command):
+    # main builds only the subcommand a command line names first; its help,
+    # usage and errors read as the whole tree's, byte for byte
+    lead = [] if command is None else [command]
+    args = COMMAND_ARGS[command]
+    for tail in (["--help"], ["--bogus"], [*args, "--bogus"], [*args, "--help"], []):
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args(lead + tail)
+        whole = (exc.value.code, *capsys.readouterr())
+        assert run(capsys, *lead, *tail) == whole
+        assert whole[0] == (0 if tail[-1:] == ["--help"] else 2)
+        assert whole[1 if whole[0] == 0 else 2].startswith("usage: orthogen")
+    assert set(COMMAND_ARGS) == {None, *cli._COMMANDS}

@@ -220,6 +220,9 @@ def test_validate_warns_on_near_duplicates():
         ([2.0, 1.0, 1.0, 2.0], "duplicate value 1"),
         ([3.0, 2.0, 3.0, 2.0], "duplicate value 3"),
         ([5.0, 0.5, 4.0, 0.5, 5.0], "duplicate value 0.5"),
+        # Named as given, not rounded to six digits (0.123457, 1)
+        ([0.1234567, 0.12345671, 0.1234567], "duplicate value 0.1234567"),
+        ([1.0000001, 2.0, 1.0000001], "duplicate value 1.0000001"),
     ],
 )
 def test_validate_error_precedence(values, message):

@@ -505,3 +505,57 @@ def test_signed_zeros_reach_the_pivots_as_in_a_plain_elimination():
         outcomes.append(_plain_outcome([stack]))
         assert _outcome(lambda: check_steps([stack])) == outcomes[-1]
     assert sum(str(o).count("pivot -0.000e+00") for o in outcomes) > 0
+
+
+def _plain_stackwise_outcome(steps):
+    # _plain_outcome with each stack checked for finite entries as a whole,
+    # as check_steps checks it, the smallest step first
+    for stack in steps:
+        outcome = _plain_outcome([stack])
+        if not np.isfinite(stack).all():
+            return ValueError, "matrix entries must be finite"
+        if outcome is not None:
+            return outcome
+    return None
+
+
+def _spoiled(rng, a):
+    # The stack with one system spoiled by a seeded kind of failure
+    a = a.copy()
+    i, t = int(rng.integers(len(a))), a.shape[-1]
+    kind = rng.integers(6)
+    if kind == 0:  # -1, -0.0, 0.0 and 1, mostly singular; all zeros at t = 1 a third of the time
+        a[i] = rng.integers(-1, 2, (t, t)) * rng.choice([-1.0, 1.0], (t, t))
+    elif kind == 1:  # rows and columns graded over many decades
+        a[i] *= 10.0 ** rng.uniform(-30.0, 30.0, (t, 1)) * 10.0 ** rng.uniform(-30.0, 30.0, (1, t))
+    elif kind == 2:  # NaN or an infinity, which a 1 x 1 system carries into every pivot
+        a[i, rng.integers(t), rng.integers(t)] = rng.choice([np.nan, np.inf, -np.inf])
+    elif kind == 3:  # subnormal
+        a[i] *= 1e-310
+    elif kind == 4:  # a zero column, of either sign
+        a[i, :, rng.integers(t)] = rng.choice([0.0, -0.0])
+    else:  # a repeated row, up to its last bits: singular or nearly
+        a[i, -1] = a[i, 0] * rng.choice([1.0, -1.0, 1.0 + 1e-15])
+    return a
+
+
+def test_the_verdict_names_the_smallest_failing_step_among_many():
+    # Steps s..1 for s = 1..8, the stacks a build up to n = 16 forms, all in
+    # one batch (of one to three systems each, so the batch also grows), with
+    # failures seeded into several stacks at once: the refusal is the
+    # smallest failing step's, as in the plain elimination
+    rng = np.random.default_rng(53)
+    outcomes, many = [], 0
+    for _ in range(600):
+        s = int(rng.integers(1, 9))
+        stacks = {t: rng.standard_normal((int(rng.integers(1, 4)), t, t)) for t in range(1, s + 1)}
+        stacks = {t: _spoiled(rng, a) if rng.random() < 0.5 else a for t, a in stacks.items()}
+        steps = [stacks[t] for t in range(1, s + 1)]
+        failing = sum(_plain_stackwise_outcome([step]) is not None for step in steps)
+        many += failing > 1
+        outcomes.append(_plain_stackwise_outcome(steps))
+        assert _checked_nested(stacks) == (outcomes[-1], list(range(s, 0, -1)))
+    assert many >= 100
+    # Every kind of refusal is among them, and some pass
+    kinds = {o if o is None else o[1].split(" ")[0] for o in outcomes}
+    assert kinds == {None, "matrix", "zero", "pivot"}
